@@ -54,7 +54,6 @@ from .solver import (
     TestEvaluator,
     build_proposal,
     build_table,
-    calibrate_switching,
     estimate_rp,
     evaluate_conditions,
     simulate_rp,

@@ -4,7 +4,7 @@ Subcommands:
 
     rtt test     --data FILE --mu0 V --alpha V --table PATH
     rtt pvalue   --data FILE --mu0 V --tables DIR
-    rtt ci       --data FILE --level V --table PATH
+    rtt ci       --data FILE --level V (--table PATH | --tables DIR)
     rtt regress  --data FILE --y COL --x COL --cluster COL --beta0 V --table PATH
     rtt simulate --design FILE --out FILE
     rtt build    --out PATH [--profile desk|smoke] [options]
@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ci", help="confidence interval by test inversion")
     add_data(p)
     p.add_argument("--level", type=float, required=True)
-    p.add_argument("--table", default=None)
-    p.add_argument("--tables", default=None, help="directory of tables for nested levels")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--table", default=None)
+    source.add_argument("--tables", default=None, help="directory of tables for nested levels")
     p.set_defaults(func=_cmd_ci)
 
     p = sub.add_parser("regress", help="clustered regression coefficient test")

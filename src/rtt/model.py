@@ -93,25 +93,6 @@ def big_m_star(y, theta: TailParams):
     return theta.eta * m_star(x_k, theta.kappa, theta.xi)
 
 
-def m_star_multi(x, kappa: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """m*(x_j, kappa_a, xi_a) for an (m,) vector against (a,) parameter vectors.
-
-    Returns (m, a); entries outside the support are NaN (callers mask them
-    through the matching -inf tail density).
-    """
-    x = np.asarray(x, dtype=float)[:, None]
-    kappa = np.asarray(kappa, dtype=float)[None, :]
-    xi = np.asarray(xi, dtype=float)[None, :]
-    near0 = np.abs(xi) < XI_ZERO_TOL
-    t = 1.0 + xi * x
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        gen = np.exp(-np.log(np.where(t > 0.0, t, np.nan)) / np.where(near0, 1.0, xi)) * (
-            kappa + (x + 1.0) / (1.0 - xi)
-        )
-        gmb = np.exp(-x) * (kappa + x + 1.0)
-    return np.where(near0, gmb, gen)
-
-
 def sample_ystar(theta: ThetaFull, mu: float, k: int, rng: np.random.Generator) -> YStar:
     """Draw one Y* observation; consumes rng as (X_R, X_L, Z)."""
     yr, yl, y0 = sample_ystar_block(theta, mu, k, rng, 1)

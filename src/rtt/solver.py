@@ -15,8 +15,9 @@ nuisance space:
    tails are heavy;
 4. spot-check the final test over a wide grid plus random interior points.
 
-Null rejection probabilities are estimated throughout by importance
-sampling over a pool of "extended" single tails recombined pairwise.
+Stage 1 estimates the gate's null rejection probabilities by plain Monte
+Carlo; stages 2 to 4 estimate them by importance sampling over a pool of
+"extended" single tails recombined pairwise.
 Progress is logged one line per iteration on the ``rtt.solver`` logger as
 
     lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta>
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -282,13 +284,6 @@ class _PoolCtx:
             lbs.append(jdx[keep].astype(np.int32))
         self.la = np.concatenate(las) if las else np.empty(0, np.int32)
         self.lb = np.concatenate(lbs) if lbs else np.empty(0, np.int32)
-        # fixed per-entry pieces reused by every condition evaluation
-        self.vA = 1.0 + self.S2[self.lb]  # thin-side variance for condition 2
-        self.vB = 1.0 + self.S2[self.la]  # thin-side variance for condition 3
-        self.y0e_la = self.pool.y0e[self.la]
-        self.y0e_lb = self.pool.y0e[self.lb]
-        self.tnum_la = self.tnum[self.la]
-        self.tnum_lb = self.tnum[self.lb]
         self._mask_built = True
 
     @property
@@ -441,49 +436,62 @@ def _switch_boundary_eta(kappa: float, x_draws: np.ndarray, switch: SwitchConsta
     return float(np.sort(h)[-need])
 
 
-def _cond1_rp_pairs(ctx: _PoolCtx, pairs: list[ThetaFull]) -> list[RpEstimate]:
-    """RP of the gate-only test at each pair, with per-pair block SE."""
-    n, K = ctx.pool.n, ctx.pool.K
-    _ = ctx.entries
-    out = []
-    for theta in pairs:
-        u = ctx.weight(theta.right, cache=False)
-        v = ctx.weight(theta.left, cache=False)
-        c = u[ctx.la] * v[ctx.lb] / (K * n)
-        r = np.bincount(ctx.la, weights=c, minlength=n)
-        out.append(RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, K)))
-    return out
+def _boundary_draws(cfg: SpaceConfig, xi_cells, seed: int, boundary_draws: int):
+    """Standardized tail draws, one block per shape cell, in cell order."""
+    rng = np.random.default_rng(seed)
+    return [(xi, sample_joint_tail(cfg.k, xi, rng, size=boundary_draws)) for xi in xi_cells]
 
 
-def calibrate_switching(
+def _boundary_sweep(cfg: SpaceConfig, switch: SwitchConstants, cells, kappa_offsets):
+    """(xi, kappa, eta*) on the 90%-switching boundary for each shape cell and
+    location offset; offsets where the tail switches at every scale are
+    skipped."""
+    for xi, x_draws in cells:
+        k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
+        for off in kappa_offsets:
+            kappa = min(k_lo + off, k_hi)
+            eta = _switch_boundary_eta(kappa, x_draws, switch)
+            if eta is not None:
+                yield xi, kappa, eta
+
+
+def _direct_gate_rp(theta: ThetaFull, alpha: float, k: int, n: int, seed: int) -> RpEstimate:
+    cv_z, cv_t = critical_values(alpha)
+
+    def gate(yr, yl, y0):
+        s2sum = (yr * yr).sum(axis=1) + (yl * yl).sum(axis=1)
+        cv = blended_cv(s2sum, cv_z, cv_t)
+        return np.abs(t_statistic(yr, yl, y0)) > cv
+
+    return simulate_rp(gate, theta, 0.0, k, n, seed=seed)
+
+
+def calibrate_switching_direct(
     cfg: SpaceConfig,
-    pool: IsPool,
     alpha: float,
     ladder=DEFAULT_LADDER,
     seed: int = 0,
     boundary_draws: int = 30_000,
+    rp_draws: int = 20_000,
     xi_cells=(-0.3, 0.0, 0.2, 0.4),
     kappa_offsets=(0.0, 2.0),
 ) -> SwitchConstants:
     """Stage 1: smallest ladder point whose gate-only test respects the level
-    on the 90%-switching boundary manifold."""
-    ctx = _ctx_for(pool, alpha)
-    rng = np.random.default_rng(seed)
-    draws = {xi: sample_joint_tail(cfg.k, xi, rng, size=boundary_draws) for xi in xi_cells}
+    on the 90%-switching boundary manifold, by plain Monte Carlo.
+
+    The gate statistic is cheap to simulate, so the boundary sweep needs no
+    importance-sampling pool, which lets the pool built afterwards cover the
+    switching-dependent candidate grids exactly.
+    """
+    cells = _boundary_draws(cfg, xi_cells, seed, boundary_draws)
     diagnostics = []
     for rho1, rho_r in ladder:
         switch = SwitchConstants(rho1, rho_r)
         singles = []
-        for xi in xi_cells:
-            k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
-            for off in kappa_offsets:
-                kappa = min(k_lo + off, k_hi)
-                eta = _switch_boundary_eta(kappa, draws[xi], switch)
-                if eta is None:
-                    continue
-                cand = TailParams(float(kappa), float(eta), float(xi))
-                if single_tail_ok(cand, cfg):
-                    singles.append(cand)
+        for xi, kappa, eta in _boundary_sweep(cfg, switch, cells, kappa_offsets):
+            cand = TailParams(float(kappa), float(eta), float(xi))
+            if single_tail_ok(cand, cfg):
+                singles.append(cand)
         pairs = [
             ThetaFull(left=a, right=b)
             for a in singles
@@ -493,18 +501,27 @@ def calibrate_switching(
         if not pairs:
             logger.info("lfd stage=1 ladder=(%g,%g) boundary empty; accepted", rho1, rho_r)
             return switch
-        rps = _cond1_rp_pairs(ctx, pairs)
-        worst = max(range(len(pairs)), key=lambda i: rps[i].rp)
-        ok = all(r.rp <= alpha + 2.0 * r.se for r in rps)
+        worst = RpEstimate(rp=-1.0, se=0.0)
+        worst_pair = pairs[0]
+        ok = True
+        for i, pair in enumerate(pairs):
+            est = _direct_gate_rp(pair, alpha, cfg.k, rp_draws, seed=seed + 17 * i + 1)
+            if est.rp > worst.rp:
+                worst, worst_pair = est, pair
+            if est.rp > alpha + 2.0 * est.se:
+                ok = False
         logger.info(
             "lfd stage=1 ladder=(%g,%g) max_rp=%.6f se=%.6f worst=%s ok=%d",
-            rho1, rho_r, rps[worst].rp, rps[worst].se, fmt_theta(pairs[worst]), int(ok),
+            rho1, rho_r, worst.rp, worst.se, fmt_theta(worst_pair), int(ok),
         )
-        diagnostics.append((rho1, rho_r, rps[worst].rp, rps[worst].se, fmt_theta(pairs[worst])))
+        diagnostics.append((rho1, rho_r, worst.rp, worst.se, fmt_theta(worst_pair)))
         if ok:
             return switch
-    lines = "; ".join(f"rho=({a:g},{b:g}) max_rp={c:.4f} se={d:.4f} at {e}" for a, b, c, d, e in diagnostics)
+    lines = "; ".join(
+        f"rho=({a:g},{b:g}) max_rp={c:.4f} se={d:.4f} at {e}" for a, b, c, d, e in diagnostics
+    )
     raise CalibrationError(f"no ladder point controls the gate-only size: {lines}")
+
 
 # ---------------------------------------------------------------------------
 # candidate grids
@@ -550,22 +567,15 @@ def boundary_left_reps(
     boundary_draws: int = 30_000,
 ) -> list[TailParams]:
     """Thin-side representatives on (and just inside) the switching boundary."""
-    rng = np.random.default_rng(seed)
+    cells = _boundary_draws(cfg, xi_cells, seed, boundary_draws)
     out = []
-    for xi in xi_cells:
-        draws = sample_joint_tail(cfg.k, xi, rng, size=boundary_draws)
-        k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
-        for off in kappa_offsets:
-            kappa = min(k_lo + off, k_hi)
-            e_star = _switch_boundary_eta(kappa, draws, switch)
-            if e_star is None:
-                continue
-            e_max = eta_max_d(kappa, xi, cfg)
-            for fac in eta_factors:
-                eta = min(max(e_star * fac, e_max * 2e-3), e_max)
-                cand = TailParams(float(kappa), float(eta), float(xi))
-                if single_tail_ok(cand, cfg):
-                    out.append(cand)
+    for xi, kappa, e_star in _boundary_sweep(cfg, switch, cells, kappa_offsets):
+        e_max = eta_max_d(kappa, xi, cfg)
+        for fac in eta_factors:
+            eta = min(max(e_star * fac, e_max * 2e-3), e_max)
+            cand = TailParams(float(kappa), float(eta), float(xi))
+            if single_tail_ok(cand, cfg):
+                out.append(cand)
     return out
 
 
@@ -607,132 +617,86 @@ class SolverTuning:
 
 
 _EXP_CAP = 50.0  # cap on per-atom log terms; beyond it the mixture dominates 1
+_BOOST = 5.0  # single-tail conditions soften by exp(_BOOST * chi) of the other tail
+_GATHER_CACHE_BUDGET = 4e8  # bytes of float32 weight gathers a sweep may keep
 
 
-class _DenomBase:
-    """Per-entry mixture denominators, already shifted by the numerator."""
+class _SingleDenom:
+    """Shifted denominator of a single-tail condition at every entry.
 
-    def denom(self, lam: np.ndarray, sub=None) -> np.ndarray:
-        raise NotImplementedError
+    Condition 2 takes the heavy block from the first index of each entry
+    (``la``) and the thin block from the second (``lb``); condition 3 is the
+    same formula with the blocks exchanged (``swapped``).
+    """
 
-
-class _SingleDenom(_DenomBase):
-    """Shifted denominator of the single-tail condition (heavy right)."""
-
-    def __init__(self, ctx: _PoolCtx, atoms: list[TailParams]):
+    def __init__(self, ctx: _PoolCtx, atoms: list[TailParams], swapped: bool = False):
+        _ = ctx.entries
+        heavy, thin = (ctx.lb, ctx.la) if swapped else (ctx.la, ctx.lb)
         self.ctx = ctx
         self.atoms = atoms
-        _ = ctx.entries
-        self.shift = ctx.logfa[ctx.la] + 5.0 * ctx.chi[ctx.lb]
-        self.base = ctx.y0e_la - ctx.tnum_lb
-        self.log_va = np.log(ctx.vA)
+        self.heavy = heavy
+        self.shift = ctx.logfa[heavy] + _BOOST * ctx.chi[thin]
+        self.base = ctx.pool.y0e[heavy] - ctx.tnum[thin]
+        self.var = 1.0 + ctx.S2[thin]
+        self.log_var = np.log(self.var)
 
-    def denom(self, lam, sub=None):
-        ctx = self.ctx
-        la = ctx.la if sub is None else ctx.la[sub]
-        base = self.base if sub is None else self.base[sub]
-        va = ctx.vA if sub is None else ctx.vA[sub]
-        logva = self.log_va if sub is None else self.log_va[sub]
-        shift = self.shift if sub is None else self.shift[sub]
-        out = np.zeros(la.size)
+    def denom(self, lam: np.ndarray) -> np.ndarray:
+        heavy = self.heavy
+        out = np.zeros(heavy.size)
         for lam_i, t in zip(lam, self.atoms):
             if lam_i <= 0.0:
                 continue
-            lf, ms = ctx.tail_arrays(t)
-            u = base + ms[la]
+            lf, ms = self.ctx.tail_arrays(t)
+            u = self.base + ms[heavy]
             term = (
-                lf[la].astype(float)
-                - 0.5 * u * u / va
-                - 0.5 * logva
+                lf[heavy].astype(float)
+                - 0.5 * u * u / self.var
+                - 0.5 * self.log_var
                 - _LOG_SQRT_2PI
-                - shift
+                - self.shift
             )
             np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
         return out
 
 
-class _SingleDenomSwapped(_DenomBase):
-    """Same condition with the roles of the two blocks exchanged."""
+class _PairDenom:
+    """Shifted denominator of the two-tail condition at the entries ``sub``;
+    atoms are ordered (left, right) tail pairs."""
 
-    def __init__(self, ctx: _PoolCtx, atoms: list[TailParams]):
+    def __init__(self, ctx: _PoolCtx, atoms: list[tuple[TailParams, TailParams]], sub: np.ndarray):
+        _ = ctx.entries
         self.ctx = ctx
         self.atoms = atoms
-        _ = ctx.entries
-        self.shift = ctx.logfa[ctx.lb] + 5.0 * ctx.chi[ctx.la]
-        self.base = ctx.y0e_lb - ctx.tnum_la
-        self.log_vb = np.log(ctx.vB)
-
-    def denom(self, lam, sub=None):
-        ctx = self.ctx
-        lb = ctx.lb if sub is None else ctx.lb[sub]
-        base = self.base if sub is None else self.base[sub]
-        vb = ctx.vB if sub is None else ctx.vB[sub]
-        logvb = self.log_vb if sub is None else self.log_vb[sub]
-        shift = self.shift if sub is None else self.shift[sub]
-        out = np.zeros(lb.size)
-        for lam_i, t in zip(lam, self.atoms):
-            if lam_i <= 0.0:
-                continue
-            lf, ms = ctx.tail_arrays(t)
-            u = base + ms[lb]
-            term = (
-                lf[lb].astype(float)
-                - 0.5 * u * u / vb
-                - 0.5 * logvb
-                - _LOG_SQRT_2PI
-                - shift
-            )
-            np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
-        return out
-
-
-class _PairDenom(_DenomBase):
-    """Shifted denominator of the two-tail condition; atoms are unordered
-    pairs contributing both orderings with half weight each."""
-
-    def __init__(self, ctx: _PoolCtx, atom_pairs: list[tuple[TailParams, TailParams]], sub: np.ndarray):
-        self.ctx = ctx
-        self.pairs = atom_pairs
-        self.sub = sub
-        _ = ctx.entries
         self.la = ctx.la[sub]
         self.lb = ctx.lb[sub]
         self.shift = ctx.logfa[self.la] + ctx.logfa[self.lb]
         self.y0e_la = ctx.pool.y0e[self.la]
         self.y0e_lb = ctx.pool.y0e[self.lb]
 
-    def _ordered_term(self, left: TailParams, right: TailParams):
-        ctx = self.ctx
-        lf_r, ms_r = ctx.tail_arrays(right)
-        lf_l, ms_l = ctx.tail_arrays(left)
-        u = (self.y0e_la + ms_r[self.la].astype(float)) - (self.y0e_lb + ms_l[self.lb].astype(float))
-        return (
-            lf_r[self.la].astype(float)
-            + lf_l[self.lb].astype(float)
-            - 0.5 * u * u
-            - _LOG_SQRT_2PI
-            - self.shift
-        )
-
-    def denom(self, lam, sub=None):
-        out = np.zeros(self.la.size)
-        for lam_i, (a, b) in zip(lam, self.pairs):
+    def denom(self, lam: np.ndarray) -> np.ndarray:
+        ctx, la, lb = self.ctx, self.la, self.lb
+        out = np.zeros(la.size)
+        for lam_i, (left, right) in zip(lam, self.atoms):
             if lam_i <= 0.0:
                 continue
-            t1 = self._ordered_term(a, b)
-            if a.astuple() == b.astuple():
-                np.add(out, lam_i * np.exp(np.minimum(t1, _EXP_CAP)), out=out)
-            else:
-                t2 = self._ordered_term(b, a)
-                np.add(out, 0.5 * lam_i * np.exp(np.minimum(t1, _EXP_CAP)), out=out)
-                np.add(out, 0.5 * lam_i * np.exp(np.minimum(t2, _EXP_CAP)), out=out)
+            lf_r, ms_r = ctx.tail_arrays(right)
+            lf_l, ms_l = ctx.tail_arrays(left)
+            u = (self.y0e_la + ms_r[la].astype(float)) - (self.y0e_lb + ms_l[lb].astype(float))
+            term = (
+                lf_r[la].astype(float)
+                + lf_l[lb].astype(float)
+                - 0.5 * u * u
+                - _LOG_SQRT_2PI
+                - self.shift
+            )
+            np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
         return out
 
 
 class _RpSweep:
     """RP of a bit vector at many check points over the ctx entry index."""
 
-    def __init__(self, ctx: _PoolCtx, checks: list[ThetaFull], sub=None, cache_budget=4e8):
+    def __init__(self, ctx: _PoolCtx, checks: list[ThetaFull], sub=None):
         self.ctx = ctx
         self.checks = checks
         self.la = ctx.la if sub is None else ctx.la[sub]
@@ -741,7 +705,7 @@ class _RpSweep:
         uniq_r = {th.right.astuple(): th.right for th in checks}
         uniq_l = {th.left.astuple(): th.left for th in checks}
         budget = (len(uniq_r) + len(uniq_l)) * self.la.size * 4
-        self._cache_gathers = budget <= cache_budget
+        self._cache_gathers = budget <= _GATHER_CACHE_BUDGET
         self._ug: dict[tuple, np.ndarray] = {}
         self._vg: dict[tuple, np.ndarray] = {}
 
@@ -779,18 +743,22 @@ class _RpSweep:
 
 def _iterate_lfd(
     stage: int,
-    denom: _DenomBase,
+    denom: Callable[[np.ndarray], np.ndarray],
     sweep: _RpSweep,
     atom_of_check: np.ndarray,
     alpha: float,
     tuning: SolverTuning,
     n_atoms: int,
 ) -> tuple[np.ndarray, dict]:
-    """Multiplicative-weights fixed point: binding checks pushed to level alpha."""
+    """Multiplicative-weights fixed point: binding checks pushed to level alpha.
+
+    ``denom(lam)`` gives the shifted mixture denominator at every sweep entry
+    for atom weights ``lam``; the test rejects where it is below one.
+    """
     lam = np.full(n_atoms, 1.0 / n_atoms)
 
     def bits_of(scale_lam):
-        return (denom.denom(scale_lam) < 1.0).astype(np.float32)
+        return (denom(scale_lam) < 1.0).astype(np.float32)
 
     # bracket a global scale so the worst check starts near the level
     lo, hi = -30.0, 30.0
@@ -887,7 +855,7 @@ def solve_single_tail(
     denom = _SingleDenom(ctx, candidates)
     sweep = _RpSweep(ctx, checks)
     lam, _ = _iterate_lfd(
-        2, denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates)
+        2, denom.denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates)
     )
     keep = lam > tuning.prune_rel * lam.max()
     return [
@@ -918,7 +886,7 @@ def _single_condition_bits(ctx: _PoolCtx, single_atoms: list[LfdAtom]):
     params = [a.theta for a in single_atoms]
     lam = np.array([a.weight for a in single_atoms])
     bits2 = _SingleDenom(ctx, params).denom(lam) < 1.0
-    bits3 = _SingleDenomSwapped(ctx, params).denom(lam) < 1.0
+    bits3 = _SingleDenom(ctx, params, swapped=True).denom(lam) < 1.0
     return bits2 & bits3
 
 
@@ -960,25 +928,29 @@ def solve_two_tail(
     pairs = diag + offdiag
     if not pairs:
         raise ConfigurationError("no admissible heavy/heavy pairs")
-    gate = _single_condition_bits(ctx, single_atoms)
-    sub = np.flatnonzero(gate)
+    # each unordered pair weighs its orderings by 1 (a == b) or 1/2 each
+    ordered, of_pair, half = [], [], []
+    for p, (a, b) in enumerate(pairs):
+        same = a.astuple() == b.astuple()
+        for left, right in ((a, b),) if same else ((a, b), (b, a)):
+            ordered.append((left, right))
+            of_pair.append(p)
+            half.append(1.0 if same else 0.5)
+    of_pair, half = np.asarray(of_pair), np.asarray(half)
+    sub = np.flatnonzero(_single_condition_bits(ctx, single_atoms))
     checks = [ThetaFull(left=a, right=b) for a, b in pairs]
-    denom = _PairDenom(ctx, pairs, sub)
+    pair_denom = _PairDenom(ctx, ordered, sub)
     sweep = _RpSweep(ctx, checks, sub=sub)
     lam, _ = _iterate_lfd(
-        3, denom, sweep, np.arange(len(pairs)), alpha, tuning, len(pairs)
+        3, lambda w: pair_denom.denom(half * w[of_pair]),
+        sweep, np.arange(len(pairs)), alpha, tuning, len(pairs),
     )
     keep = lam > tuning.prune_rel * lam.max()
-    atoms = []
-    for (a, b), w, kp in zip(pairs, lam, keep):
-        if not kp:
-            continue
-        if a.astuple() == b.astuple():
-            atoms.append(LfdAtom(theta=ThetaFull(left=a, right=b), weight=float(w)))
-        else:
-            atoms.append(LfdAtom(theta=ThetaFull(left=a, right=b), weight=float(w / 2.0)))
-            atoms.append(LfdAtom(theta=ThetaFull(left=b, right=a), weight=float(w / 2.0)))
-    return atoms
+    return [
+        LfdAtom(theta=ThetaFull(left=left, right=right), weight=float(h * lam[p]))
+        for (left, right), p, h in zip(ordered, of_pair, half)
+        if keep[p]
+    ]
 
 # ---------------------------------------------------------------------------
 # runtime evaluation of a stored test
@@ -1080,8 +1052,8 @@ class TestEvaluator:
         logfa_l = np.atleast_1d(log_f_a_single(yls, self.xi_grid, self.fa_nodes))
         chi_r = np.atleast_1d(switching_index(yrs, self.switch))
         chi_l = np.atleast_1d(switching_index(yls, self.switch))
-        c2 = 5.0 * chi_l + logfa_r > self._single_mixture(yrs, yls, y0s)
-        c3 = 5.0 * chi_r + logfa_l > self._single_mixture(yls, yrs, -y0s)
+        c2 = _BOOST * chi_l + logfa_r > self._single_mixture(yrs, yls, y0s)
+        c3 = _BOOST * chi_r + logfa_l > self._single_mixture(yls, yrs, -y0s)
         c4 = logfa_r + logfa_l > self._full_mixture(yrs, yls, y0s)
         out[idx] = c2 & c3 & c4
         return out
@@ -1126,27 +1098,9 @@ def _table_entry_bits(ctx: _PoolCtx, table) -> np.ndarray:
     """Composite-test bits at the gate-passing pool entries for a table."""
     ctx.set_switch(SwitchConstants(table.rho1, table.rho_r))
     s_atoms = [LfdAtom(theta=TailParams(r[1], r[2], r[3]), weight=r[0]) for r in table.single_atoms]
-    gate = _single_condition_bits(ctx, s_atoms)
-    sub = np.flatnonzero(gate)
-    la, lb = ctx.la[sub], ctx.lb[sub]
-    shift = ctx.logfa[la] + ctx.logfa[lb]
-    y0e_la, y0e_lb = ctx.pool.y0e[la], ctx.pool.y0e[lb]
-    acc = np.zeros(sub.size)
-    for row in table.full_atoms:
-        lam = row[0]
-        tl = TailParams(row[1], row[2], row[3])
-        tr = TailParams(row[4], row[5], row[6])
-        lf_r, ms_r = ctx.tail_arrays(tr)
-        lf_l, ms_l = ctx.tail_arrays(tl)
-        u = (y0e_la + ms_r[la].astype(float)) - (y0e_lb + ms_l[lb].astype(float))
-        term = (
-            lf_r[la].astype(float)
-            + lf_l[lb].astype(float)
-            - 0.5 * u * u
-            - _LOG_SQRT_2PI
-            - shift
-        )
-        np.add(acc, lam * np.exp(np.minimum(term, _EXP_CAP)), out=acc)
+    sub = np.flatnonzero(_single_condition_bits(ctx, s_atoms))
+    atoms = [(TailParams(r[1], r[2], r[3]), TailParams(r[4], r[5], r[6])) for r in table.full_atoms]
+    acc = _PairDenom(ctx, atoms, sub).denom(np.array([r[0] for r in table.full_atoms]))
     bits = np.zeros(ctx.entries, dtype=np.float32)
     bits[sub[acc < 1.0]] = 1.0
     return bits
@@ -1314,92 +1268,4 @@ def build_table(config: BuildConfig):
         ("spot_max_rp_se", f"{rps[worst].se:.6f}"),
         ("spot_violations", str(n_bad)),
     ]
-    return TestTable(
-        k=table.k,
-        n0=table.n0,
-        alpha=table.alpha,
-        rho1=table.rho1,
-        rho_r=table.rho_r,
-        single_atoms=table.single_atoms,
-        full_atoms=table.full_atoms,
-        xi_grid=table.xi_grid,
-        build_metadata=tuple(meta),
-    )
-
-# ---------------------------------------------------------------------------
-# direct-simulation stage 1 (used by the builder so the proposal can include
-# the switching-dependent grids)
-
-
-def _direct_gate_rp(theta: ThetaFull, alpha: float, k: int, n: int, seed: int) -> RpEstimate:
-    cv_z, cv_t = critical_values(alpha)
-
-    def gate(yr, yl, y0):
-        s2sum = (yr * yr).sum(axis=1) + (yl * yl).sum(axis=1)
-        cv = blended_cv(s2sum, cv_z, cv_t)
-        return np.abs(t_statistic(yr, yl, y0)) > cv
-
-    return simulate_rp(gate, theta, 0.0, k, n, seed=seed)
-
-
-def calibrate_switching_direct(
-    cfg: SpaceConfig,
-    alpha: float,
-    ladder=DEFAULT_LADDER,
-    seed: int = 0,
-    boundary_draws: int = 30_000,
-    rp_draws: int = 20_000,
-    xi_cells=(-0.3, 0.0, 0.2, 0.4),
-    kappa_offsets=(0.0, 2.0),
-) -> SwitchConstants:
-    """Stage 1 by plain Monte Carlo; needs no importance-sampling pool.
-
-    The gate statistic is cheap to simulate, so the boundary sweep can be
-    done directly, which lets the pool built afterwards cover the
-    switching-dependent candidate grids exactly.
-    """
-    rng = np.random.default_rng(seed)
-    draws = {xi: sample_joint_tail(cfg.k, xi, rng, size=boundary_draws) for xi in xi_cells}
-    diagnostics = []
-    for rho1, rho_r in ladder:
-        switch = SwitchConstants(rho1, rho_r)
-        singles = []
-        for xi in xi_cells:
-            k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
-            for off in kappa_offsets:
-                kappa = min(k_lo + off, k_hi)
-                eta = _switch_boundary_eta(kappa, draws[xi], switch)
-                if eta is None:
-                    continue
-                cand = TailParams(float(kappa), float(eta), float(xi))
-                if single_tail_ok(cand, cfg):
-                    singles.append(cand)
-        pairs = [
-            ThetaFull(left=a, right=b)
-            for a in singles
-            for b in singles
-            if contains(ThetaFull(left=a, right=b), cfg)
-        ]
-        if not pairs:
-            logger.info("lfd stage=1 ladder=(%g,%g) boundary empty; accepted", rho1, rho_r)
-            return switch
-        worst = RpEstimate(rp=-1.0, se=0.0)
-        worst_pair = pairs[0]
-        ok = True
-        for i, pair in enumerate(pairs):
-            est = _direct_gate_rp(pair, alpha, cfg.k, rp_draws, seed=seed + 17 * i + 1)
-            if est.rp > worst.rp:
-                worst, worst_pair = est, pair
-            if est.rp > alpha + 2.0 * est.se:
-                ok = False
-        logger.info(
-            "lfd stage=1 ladder=(%g,%g) max_rp=%.6f se=%.6f worst=%s ok=%d",
-            rho1, rho_r, worst.rp, worst.se, fmt_theta(worst_pair), int(ok),
-        )
-        diagnostics.append((rho1, rho_r, worst.rp, worst.se, fmt_theta(worst_pair)))
-        if ok:
-            return switch
-    lines = "; ".join(
-        f"rho=({a:g},{b:g}) max_rp={c:.4f} se={d:.4f} at {e}" for a, b, c, d, e in diagnostics
-    )
-    raise CalibrationError(f"no ladder point controls the gate-only size: {lines}")
+    return replace(table, build_metadata=tuple(meta))

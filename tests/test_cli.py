@@ -104,6 +104,13 @@ class TestCiCommand:
         out, kv = _kv(capsys)
         assert float(kv["ci_low"]) < float(kv["ci_high"])
 
+    @pytest.mark.parametrize("source", [[], ["--table", "a.rtt", "--tables", "dir"]])
+    def test_needs_exactly_one_table_source(self, source, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ci", "--data", "w.txt", "--level", "0.95", *source])
+        assert exc.value.code == 2
+        assert "--table" in capsys.readouterr().err
+
 
 class TestRegressCommand:
     def test_cluster_flag(self, tmp_path, smoke_tables, capsys):

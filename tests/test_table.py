@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,12 @@ class TestChecksum:
             full_atoms=t.full_atoms, xi_grid=t.xi_grid, build_metadata=t.build_metadata,
         )
         assert table_checksum(t2) != table_checksum(t)
+
+    def test_shipped_desk_table(self):
+        path = Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt"
+        t = read_table(path)
+        assert (t.k, t.n0, t.alpha) == (4, 50, 0.05)
+        assert table_checksum(t).startswith("1192558f")
 
     def test_digest_ignores_atom_order(self):
         t = random_table(np.random.default_rng(9))
