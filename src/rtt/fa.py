@@ -12,6 +12,13 @@ xi = 0 form Gamma(k)^2 / (sum_i d_i)^k.  The overall weighting averages
 f_{a|xi} over an even grid of shape values; the integral is evaluated by
 fixed Gauss-Legendre quadrature after a peak-scaled rational change of
 variables.
+
+The whole shape grid is evaluated in one broadcast pass per block of rows.
+Shapes near zero take the closed form; positive shapes share one set of
+nodes and log-Jacobian, because the peak scale (k-1)/S does not depend on
+xi; negative shapes each have their own upper limit rmax.  The log-sum-exp
+reductions are done by a local helper in scipy's arithmetic, so the bits
+do not depend on the installed scipy's ``logsumexp``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import InvalidArgument
 from .gev import XI_ZERO_TOL
@@ -28,6 +35,8 @@ from .gev import XI_ZERO_TOL
 DEFAULT_XI_GRID: tuple[float, ...] = tuple(np.linspace(-0.5, 0.5, 21))
 DEFAULT_NODES = 40
 
+# Rows per shape-averaging block; the quadrature runs on _CHUNK // n_shapes
+# rows at a time, so no temporary exceeds _CHUNK * (k-1) * nodes values.
 _CHUNK = 4096
 
 
@@ -38,37 +47,33 @@ def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _log_fa_xi(d: np.ndarray, xi: float, nodes: int) -> np.ndarray:
-    """log f_{a|xi} for spacing rows d (m, k-1), rows sorted descending."""
-    m, km1 = d.shape
-    k = km1 + 1
-    s = d.sum(axis=1)
-    out = np.full(m, np.inf)
-    live = s > 0.0
-    if not np.any(live):
-        return out
-    dl = d[live]
-    sl = s[live]
-    u, w = _unit_nodes(nodes)
-    logw = np.log(w)
-    if abs(xi) < XI_ZERO_TOL:
-        out[live] = 2.0 * gammaln(k) - k * np.log(sl)
-        return out
-    if xi > 0.0:
-        # r = r_peak * u/(1-u); the peak scale (k-1)/S tracks the exponential
-        # limit of the integrand.
-        rpeak = (k - 1.0) / sl
-        r = rpeak[:, None] * (u / (1.0 - u))[None, :]
-        logjac = np.log(rpeak)[:, None] + logw[None, :] - 2.0 * np.log1p(-u)[None, :]
-    else:
-        rmax = -1.0 / (xi * dl[:, 0])
-        r = rmax[:, None] * u[None, :]
-        logjac = np.log(rmax)[:, None] + logw[None, :]
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` in scipy.special.logsumexp's arithmetic.
+
+    The m tied maxima are kept out of the sum (Blanchard, Higham & Higham
+    2021): log1p(s/m) + log(m) + a_max, falling back to the direct
+    log(sum(exp(a))) wherever that is not finite.  numpy's summation order
+    follows the memory layout, so equal bits also need equal array shapes.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.exp(a).sum(axis=axis))
+        a_max = a.max(axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=axis, dtype=float)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis)
+        s = np.where(s == 0.0, s, s / m)
+        out = np.log1p(s) + np.log(m) + np.squeeze(a_max, axis=axis)
+    return np.where(np.isfinite(out), out, direct)
+
+
+def _log_fa_shapes(dl: np.ndarray, xi: np.ndarray, r: np.ndarray, logjac: np.ndarray) -> np.ndarray:
+    """log f_{a|xi} (g, m) for shapes xi (g,) and spacing rows dl (m, k-1),
+    given quadrature nodes r and log-Jacobian, each (g or 1, m, nodes)."""
+    k = dl.shape[1] + 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        logfac = np.log1p(xi * dl[:, :, None] * r[:, None, :])  # (m', k-1, nodes)
-        logint = (k - 1.0) * np.log(r) - (1.0 + 1.0 / xi) * logfac.sum(axis=1)
-    out[live] = gammaln(k - xi) + logsumexp(logint + logjac, axis=1)
-    return out
+        logfac = np.log1p(xi[:, None, None, None] * dl[None, :, :, None] * r[:, :, None, :])
+        logint = (k - 1.0) * np.log(r) - (1.0 + 1.0 / xi)[:, None, None] * logfac.sum(axis=2)
+    return gammaln(k - xi)[:, None] + _logsumexp(logint + logjac, axis=-1)
 
 
 def log_f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
@@ -86,14 +91,46 @@ def log_f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
     xi_grid = np.asarray(xi_grid, dtype=float)
     if xi_grid.size == 0:
         raise InvalidArgument("shape grid must be nonempty")
+    k = ya.shape[-1]
+    zero = np.abs(xi_grid) < XI_ZERO_TOL
+    pos = ~zero & (xi_grid > 0.0)
+    neg = ~zero & ~pos
+    xi_pos, xi_neg = xi_grid[pos], xi_grid[neg]
+    u, w = _unit_nodes(nodes)
+    logw = np.log(w)
+    # xi > 0: r = r_peak * u/(1-u); the peak scale (k-1)/S tracks the
+    # exponential limit of the integrand.
+    pos_map = u / (1.0 - u)
+    pos_jac = 2.0 * np.log1p(-u)
+    step = max(1, _CHUNK // xi_grid.size)
     m = ya.shape[0]
     out = np.empty(m)
     for lo in range(0, m, _CHUNK):
         block = ya[lo : lo + _CHUNK]
         d = block[:, :-1] - block[:, -1:]
-        vals = np.stack([_log_fa_xi(d, float(xi), nodes) for xi in xi_grid], axis=0)
+        s = d.sum(axis=1)
+        vals = np.full((xi_grid.size, block.shape[0]), np.inf)
+        for a in range(0, block.shape[0], step):
+            live = s[a : a + step] > 0.0
+            if not np.any(live):
+                continue
+            dl = d[a : a + step][live]
+            sl = s[a : a + step][live]
+            part = np.empty((xi_grid.size, sl.size))
+            part[zero] = 2.0 * gammaln(k) - k * np.log(sl)
+            if xi_pos.size:
+                rpeak = (k - 1.0) / sl
+                r = rpeak[:, None] * pos_map[None, :]
+                logjac = np.log(rpeak)[:, None] + logw[None, :] - pos_jac[None, :]
+                part[pos] = _log_fa_shapes(dl, xi_pos, r[None], logjac[None])
+            if xi_neg.size:
+                rmax = -1.0 / (xi_neg[:, None] * dl[None, :, 0])
+                r = rmax[:, :, None] * u[None, None, :]
+                logjac = np.log(rmax)[:, :, None] + logw[None, None, :]
+                part[neg] = _log_fa_shapes(dl, xi_neg, r, logjac)
+            vals[:, a : a + step][:, live] = part
         with np.errstate(invalid="ignore"):
-            out[lo : lo + _CHUNK] = logsumexp(vals, axis=0) - math.log(xi_grid.size)
+            out[lo : lo + _CHUNK] = _logsumexp(vals, axis=0) - math.log(xi_grid.size)
     return float(out[0]) if scalar else out
 
 

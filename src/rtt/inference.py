@@ -204,22 +204,26 @@ CI_SPAN_RANGES = 10.0
 _BISECT_ITER = 80
 
 
-def _decide_grid(w, mu0s: np.ndarray, table: TestTable, tables: TableSet | None, alpha: float) -> np.ndarray:
-    """Vectorized decisions over a grid of hypothesized means.
+def _decide_grid(w, mu0s: np.ndarray, tables: list[TestTable]) -> np.ndarray:
+    """Vectorized nested decisions over a grid of hypothesized means.
 
     Shifting the hypothesized mean moves every block affinely, so a single
-    summary at mu0 = 0 generates the whole family.
+    summary at mu0 = 0 generates the whole family.  A mean is rejected only
+    where every given table rejects it (the nested rule as a cumulative AND).
     """
-    if tables is None:
-        ev = _evaluator(table)
-        s = summarize(w, table.k, 0.0)
-        d = s.denom
-        shift = np.asarray(mu0s, dtype=float) / d
-        yr = s.w_right[None, :] / d - shift[:, None]
-        yl = s.w_left_neg[None, :] / d + shift[:, None]
-        y0 = s.middle_sum / d - (s.n - 2 * s.k) * shift
-        return ev.decide_batch(yr, yl, y0)
-    return np.array([tables.nested_reject(w, float(m), alpha) for m in mu0s])
+    s = summarize(w, tables[0].k, 0.0)
+    d = s.denom
+    shift = np.asarray(mu0s, dtype=float) / d
+    yr = s.w_right[None, :] / d - shift[:, None]
+    yl = s.w_left_neg[None, :] / d + shift[:, None]
+    y0 = s.middle_sum / d - (s.n - 2 * s.k) * shift
+    reject = np.ones(shift.shape, dtype=bool)
+    for t in tables:
+        rows = np.flatnonzero(reject)
+        if rows.size == 0:
+            break
+        reject[rows] = _evaluator(t).decide_batch(yr[rows], yl[rows], y0[rows])
+    return reject
 
 
 def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[float, float]:
@@ -227,18 +231,18 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     if not 0.0 < level < 1.0:
         raise InvalidArgument("confidence level must lie in (0, 1)")
     alpha = 1.0 - level
-    tables = None
     if isinstance(table, TableSet):
-        tables = table
-        base = tables.table_at(min(tables.alphas, key=lambda a: abs(a - alpha)))
-        if abs(base.alpha - alpha) > 1e-9:
+        if min(abs(a - alpha) for a in table.alphas) > 1e-9:
             raise ConfigurationError(f"no table at level alpha={alpha}")
+        tables = [t for t in table.tables if t.alpha + 1e-12 >= alpha]
+        if not tables:
+            raise ConfigurationError(f"no table at level >= {alpha}")
     else:
-        base = table
-        if abs(base.alpha - alpha) > 1e-9:
+        if abs(table.alpha - alpha) > 1e-9:
             raise ConfigurationError(
-                f"table level alpha={base.alpha} does not match requested {alpha}"
+                f"table level alpha={table.alpha} does not match requested {alpha}"
             )
+        tables = [table]
     w = np.asarray(w, dtype=float)
     center = float(w.mean())
     span = CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
@@ -246,7 +250,7 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
         raise DegenerateSample("sample has zero range")
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        reject = _decide_grid(w, grid, base, tables, alpha)
+        reject = _decide_grid(w, grid, tables)
         accept = np.flatnonzero(~reject)
         if accept.size:
             break
@@ -261,7 +265,7 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
             mid = 0.5 * (a_rej + b_acc)
             if mid == a_rej or mid == b_acc:
                 break
-            if _decide_grid(w, np.array([mid]), base, tables, alpha)[0]:
+            if _decide_grid(w, np.array([mid]), tables)[0]:
                 a_rej = mid
             else:
                 b_acc = mid

@@ -619,6 +619,7 @@ class SolverTuning:
 _EXP_CAP = 50.0  # cap on per-atom log terms; beyond it the mixture dominates 1
 _BOOST = 5.0  # single-tail conditions soften by exp(_BOOST * chi) of the other tail
 _GATHER_CACHE_BUDGET = 4e8  # bytes of float32 weight gathers a sweep may keep
+_DECIDE_CHUNK = 64  # gate-passing rows per decide_batch block; bounds its memory
 
 
 class _SingleDenom:
@@ -1044,10 +1045,14 @@ class TestEvaluator:
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         out = np.zeros(y0.shape, dtype=bool)
         c1 = np.atleast_1d(self.condition1(yr, yl, y0))
-        idx = np.flatnonzero(c1)
-        if idx.size == 0:
-            return out
-        yrs, yls, y0s = yr[idx], yl[idx], y0[idx]
+        passing = np.flatnonzero(c1)
+        for lo in range(0, passing.size, _DECIDE_CHUNK):
+            idx = passing[lo : lo + _DECIDE_CHUNK]
+            out[idx] = self._lr_conditions(yr[idx], yl[idx], y0[idx])
+        return out
+
+    def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray) -> np.ndarray:
+        """Conditions 2 to 4 on gate-passing rows."""
         logfa_r = np.atleast_1d(log_f_a_single(yrs, self.xi_grid, self.fa_nodes))
         logfa_l = np.atleast_1d(log_f_a_single(yls, self.xi_grid, self.fa_nodes))
         chi_r = np.atleast_1d(switching_index(yrs, self.switch))
@@ -1055,8 +1060,7 @@ class TestEvaluator:
         c2 = _BOOST * chi_l + logfa_r > self._single_mixture(yrs, yls, y0s)
         c3 = _BOOST * chi_r + logfa_l > self._single_mixture(yls, yrs, -y0s)
         c4 = logfa_r + logfa_l > self._full_mixture(yrs, yls, y0s)
-        out[idx] = c2 & c3 & c4
-        return out
+        return c2 & c3 & c4
 
     def decide(self, y_right, y_left, y0: float) -> bool:
         return bool(self.decide_batch(y_right, y_left, [y0])[0])

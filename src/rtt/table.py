@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .errors import TableFormatError
 
@@ -68,6 +69,15 @@ class TestTable:
         for row in self.full_atoms:
             if len(row) != 7 or row[0] <= 0.0 or row[2] <= 0.0 or row[5] <= 0.0:
                 raise TableFormatError("field F: full atom needs positive weight and scales")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __hash__(self):
+        # Memoized: hashing the atom tuples costs about 0.1 ms, and the
+        # evaluator cache hashes its table on every lookup.
+        return self._hash
 
     def canonical(self) -> "TestTable":
         """Atoms sorted lexicographically on parameters (weight last)."""

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 from scipy import integrate
 
 from rtt.errors import InvalidArgument
-from rtt.fa import DEFAULT_XI_GRID, f_a_single, log_f_a_single
+from rtt.fa import DEFAULT_XI_GRID, _CHUNK, _logsumexp, _unit_nodes, f_a_single, log_f_a_single
+from rtt.gev import XI_ZERO_TOL
 
 
 class TestScaling:
@@ -79,3 +80,109 @@ class TestValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgument):
             f_a_single(np.array([1.0, 0.0]), xi_grid=[])
+
+
+def _reference_log_fa_xi(d, xi, nodes):
+    """Per-shape quadrature with scipy's logsumexp (the loop the one-pass
+    evaluation replaced)."""
+    m, km1 = d.shape
+    k = km1 + 1
+    s = d.sum(axis=1)
+    out = np.full(m, np.inf)
+    live = s > 0.0
+    if not np.any(live):
+        return out
+    dl = d[live]
+    sl = s[live]
+    u, w = _unit_nodes(nodes)
+    logw = np.log(w)
+    if abs(xi) < XI_ZERO_TOL:
+        out[live] = 2.0 * gammaln(k) - k * np.log(sl)
+        return out
+    if xi > 0.0:
+        rpeak = (k - 1.0) / sl
+        r = rpeak[:, None] * (u / (1.0 - u))[None, :]
+        logjac = np.log(rpeak)[:, None] + logw[None, :] - 2.0 * np.log1p(-u)[None, :]
+    else:
+        rmax = -1.0 / (xi * dl[:, 0])
+        r = rmax[:, None] * u[None, :]
+        logjac = np.log(rmax)[:, None] + logw[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logfac = np.log1p(xi * dl[:, :, None] * r[:, None, :])
+        logint = (k - 1.0) * np.log(r) - (1.0 + 1.0 / xi) * logfac.sum(axis=1)
+    out[live] = gammaln(k - xi) + logsumexp(logint + logjac, axis=1)
+    return out
+
+
+def _reference_log_f_a(ya, xi_grid, nodes):
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    out = np.empty(ya.shape[0])
+    for lo in range(0, ya.shape[0], _CHUNK):
+        block = ya[lo : lo + _CHUNK]
+        d = block[:, :-1] - block[:, -1:]
+        vals = np.stack([_reference_log_fa_xi(d, float(xi), nodes) for xi in xi_grid], axis=0)
+        with np.errstate(invalid="ignore"):
+            out[lo : lo + _CHUNK] = logsumexp(vals, axis=0) - math.log(xi_grid.size)
+    return out
+
+
+def _tail_rows(rng, m, k):
+    """Descending rows at mixed scales, with some fully and some partly tied."""
+    y = np.sort(rng.normal(size=(m, k)) * rng.uniform(0.1, 5.0, (m, 1)), axis=1)[:, ::-1].copy()
+    tied = rng.random(m) < 0.1
+    y[tied] = y[tied, :1]
+    partly = rng.random(m) < 0.1
+    y[partly, 1:] = y[partly, -1:]
+    return y
+
+
+GRIDS = {
+    "default": DEFAULT_XI_GRID,
+    "zero": (0.0,),
+    "negative": (-0.5, -0.35, -0.2, -0.05),
+    "positive": (0.05, 0.2, 0.35, 0.5),
+}
+
+
+class TestOnePassMatchesPerShapeLoop:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_bit_identical(self, k, grid):
+        rng = np.random.default_rng(100 + k)
+        y = _tail_rows(rng, 300, k)
+        assert np.isinf(log_f_a_single(y)[np.all(y == y[:, :1], axis=1)]).all()
+        for nodes in (40, 60):
+            want = _reference_log_f_a(y, GRIDS[grid], nodes)
+            assert np.array_equal(log_f_a_single(y, GRIDS[grid], nodes), want)
+            assert log_f_a_single(y[7], GRIDS[grid], nodes) == _reference_log_f_a(y[7:8], GRIDS[grid], nodes)[0]
+
+    def test_bit_identical_across_chunks(self):
+        # numpy sums a one-column (shapes, 1) block pairwise but wider blocks
+        # row by row, so the block boundaries must match the reference's too
+        rng = np.random.default_rng(9)
+        y = _tail_rows(rng, _CHUNK + 1, 4)
+        assert np.array_equal(log_f_a_single(y), _reference_log_f_a(y, DEFAULT_XI_GRID, 40))
+        step = _CHUNK // len(DEFAULT_XI_GRID)
+        for last in range(30):
+            rows = np.concatenate([y[:step], y[step + last : step + last + 1]])
+            assert np.array_equal(log_f_a_single(rows), _reference_log_f_a(rows, DEFAULT_XI_GRID, 40))
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_scipy_bits(self, axis):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(40, 30)) * 50.0
+        a[0, :] = -np.inf  # an all -inf row
+        a[:, 0] = -np.inf  # and column
+        a[1, 3] = a[1, 5] = a[1, 9] = a[1].max() + 1.0  # tied maxima
+        a[4:7, 2] = a[4:7, 8] = 7.25
+        a[2, 4] = np.inf
+        a[9, 1:4] = np.inf  # tied +inf entries
+        a[11, 6] = -np.inf
+        a[:, 12] = a[:, 13]  # ties along the other axis
+        a[13:20, 14] = 2.5
+        got = _logsumexp(a, axis=axis)
+        want = logsumexp(a, axis=axis)
+        assert np.array_equal(got, want)
+        assert np.isneginf(got[0])

@@ -12,6 +12,7 @@ from rtt.errors import (
 from rtt.inference import (
     PValueResult,
     TableSet,
+    _decide_grid,
     confidence_interval,
     decide,
     p_value,
@@ -190,6 +191,17 @@ class TestConfidenceInterval:
             l95, h95 = confidence_interval(w, 0.95, tables)
             l90, h90 = confidence_interval(w, 0.90, tables)
             assert l99 <= l95 <= l90 and h90 <= h95 <= h99
+
+    def test_set_grid_is_nested_rule(self):
+        tables = TableSet([gate_only_table(a) for a in (0.01, 0.05, 0.1)])
+        rng = np.random.default_rng(17)
+        w = rng.standard_t(3, size=50)
+        grid = float(w.mean()) + np.linspace(-1.5, 1.5, 41)
+        for alpha in tables.alphas:
+            nested = [t for t in tables.tables if t.alpha >= alpha]
+            want = [tables.nested_reject(w, float(m), alpha) for m in grid]
+            assert np.array_equal(_decide_grid(w, grid, nested), want)
+            assert 0 < sum(want) < grid.size
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(15)

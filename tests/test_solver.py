@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rtt.solver import (
     SwitchConstants,
     TestEvaluator,
     _BOOST,
+    _DECIDE_CHUNK,
     _ctx_for,
     _iterate_lfd,
     _PairDenom,
@@ -38,7 +40,7 @@ from rtt.solver import (
     t_statistic,
 )
 from rtt.space import SpaceConfig
-from rtt.table import TestTable, table_checksum
+from rtt.table import TestTable, read_table, table_checksum
 
 CFG = SpaceConfig(n0=50, k=4)
 
@@ -261,6 +263,20 @@ class TestEvaluateConditions:
         fwd = ev.decide_batch(yr, yl, y0)
         rev = ev.decide_batch(yl, yr, -y0)
         assert np.array_equal(fwd, rev)
+
+
+    def test_chunked_batch_matches_per_row(self):
+        desk = read_table(Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt")
+        ev = TestEvaluator(desk)
+        rng = np.random.default_rng(11)
+        yr = np.sort(rng.exponential(size=(300, 4)), axis=1)[:, ::-1] * 0.3
+        yl = np.sort(rng.exponential(size=(300, 4)), axis=1)[:, ::-1] * 0.1
+        y0 = rng.standard_normal(300) * 3.0
+        batch = ev.decide_batch(yr, yl, y0)
+        assert ev.condition1(yr, yl, y0).sum() > _DECIDE_CHUNK
+        assert 0 < batch.sum() < ev.condition1(yr, yl, y0).sum()
+        per_row = [ev.decide(yr[i], yl[i], y0[i]) for i in range(300)]
+        assert np.array_equal(batch, per_row)
 
 
 class TestNeymanPearsonOracle:

@@ -88,6 +88,26 @@ class TestChecksum:
         assert table_checksum(shuffled) == table_checksum(t)
 
 
+class TestHash:
+    def test_equal_tables_hash_equal(self):
+        a = random_table(np.random.default_rng(7))
+        b = random_table(np.random.default_rng(7))
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a)
+        assert len({a, b}) == 1
+
+    def test_hash_follows_fields(self):
+        t = random_table(np.random.default_rng(8))
+        other = TestTable(
+            k=t.k, n0=t.n0, alpha=t.alpha / 2, rho1=t.rho1, rho_r=t.rho_r,
+            single_atoms=t.single_atoms, full_atoms=t.full_atoms,
+            xi_grid=t.xi_grid, build_metadata=t.build_metadata,
+        )
+        c = t.canonical()
+        assert hash(loads_table(dumps_table(c))) == hash(c)
+        assert other != t and hash(other) != hash(t)
+
+
 class TestErrors:
     def test_truncated_file(self):
         text = dumps_table(random_table(np.random.default_rng(3)))
