@@ -55,7 +55,6 @@ from .solver import (
     build_proposal,
     build_table,
     estimate_rp,
-    evaluate_conditions,
     simulate_rp,
     smoke_build_config,
     solve_single_tail,

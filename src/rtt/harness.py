@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .adapters import ClusteredDataset, cluster_robust_t, clustered_ols_w, two_sample_w
+from .adapters import ClusteredDataset, _residualize, cluster_robust_t, clustered_ols_w, two_sample_w
 from .errors import ConfigurationError, DegenerateSample, InvalidArgument
 from .inference import confidence_interval, decide
 from .populations import Population, make_population
@@ -40,20 +40,30 @@ class TestOutcome:
         return self.ci_high - self.ci_low
 
 
-def t_test(w, mu0: float, alpha: float, with_ci: bool = True) -> TestOutcome:
-    """Plain t test with student-t critical value at n-1 degrees of freedom."""
+def _mean_se(w) -> tuple[np.ndarray, float, float]:
+    """The sample as floats, its mean and the standard error of the mean."""
     w = np.asarray(w, dtype=float)
-    n = w.size
     s = w.std(ddof=1)
     if s <= 0.0:
         raise DegenerateSample("constant sample")
-    se = s / math.sqrt(n)
-    cv = float(stats.t.ppf(1.0 - alpha / 2.0, n - 1))
-    mean = float(w.mean())
-    reject = abs((mean - mu0) / se) > cv
+    return w, float(w.mean()), s / math.sqrt(w.size)
+
+
+def _studentized(mean: float, se: float, mu0: float, q_lo: float, q_hi: float, with_ci: bool) -> TestOutcome:
+    """Reject where (mean - mu0)/se falls outside [q_lo, q_hi]; the interval
+    inverts the same quantiles."""
+    t_obs = (mean - mu0) / se
+    reject = t_obs < q_lo or t_obs > q_hi
     if not with_ci:
         return TestOutcome(reject)
-    return TestOutcome(reject, mean - cv * se, mean + cv * se)
+    return TestOutcome(reject, mean - q_hi * se, mean - q_lo * se)
+
+
+def t_test(w, mu0: float, alpha: float, with_ci: bool = True) -> TestOutcome:
+    """Plain t test with student-t critical value at n-1 degrees of freedom."""
+    w, mean, se = _mean_se(w)
+    cv = float(stats.t.ppf(1.0 - alpha / 2.0, w.size - 1))
+    return _studentized(mean, se, mu0, -cv, cv, with_ci)
 
 
 _MAX_REDRAWS = 100
@@ -83,42 +93,21 @@ def boot_sym(w, mu0: float, alpha: float, B: int = 999, rng=None, with_ci: bool 
     """Percentile-t bootstrap on the absolute studentized statistic."""
     if B < 99:
         raise InvalidArgument("bootstrap needs at least 99 replicates")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    w = np.asarray(w, dtype=float)
-    n = w.size
-    s = w.std(ddof=1)
-    if s <= 0.0:
-        raise DegenerateSample("constant sample")
-    t_star = _bootstrap_t_draws(w, B, rng)
+    w, mean, se = _mean_se(w)
+    t_star = _bootstrap_t_draws(w, B, np.random.default_rng(rng))
     q = float(np.quantile(np.abs(t_star), 1.0 - alpha))
-    se = s / math.sqrt(n)
-    mean = float(w.mean())
-    reject = abs((mean - mu0) / se) > q
-    if not with_ci:
-        return TestOutcome(reject)
-    return TestOutcome(reject, mean - q * se, mean + q * se)
+    return _studentized(mean, se, mu0, -q, q, with_ci)
 
 
 def boot_asym(w, mu0: float, alpha: float, B: int = 999, rng=None, with_ci: bool = True) -> TestOutcome:
     """Percentile-t bootstrap with equal-tail signed quantiles."""
     if B < 99:
         raise InvalidArgument("bootstrap needs at least 99 replicates")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    w = np.asarray(w, dtype=float)
-    n = w.size
-    s = w.std(ddof=1)
-    if s <= 0.0:
-        raise DegenerateSample("constant sample")
-    t_star = _bootstrap_t_draws(w, B, rng)
+    w, mean, se = _mean_se(w)
+    t_star = _bootstrap_t_draws(w, B, np.random.default_rng(rng))
     q_lo = float(np.quantile(t_star, alpha / 2.0))
     q_hi = float(np.quantile(t_star, 1.0 - alpha / 2.0))
-    se = s / math.sqrt(n)
-    mean = float(w.mean())
-    t_obs = (mean - mu0) / se
-    reject = t_obs < q_lo or t_obs > q_hi
-    if not with_ci:
-        return TestOutcome(reject)
-    return TestOutcome(reject, mean - q_hi * se, mean - q_lo * se)
+    return _studentized(mean, se, mu0, q_lo, q_hi, with_ci)
 
 
 def wild_cluster_boot(
@@ -137,7 +126,7 @@ def wild_cluster_boot(
     """
     if B < 99:
         raise InvalidArgument("bootstrap needs at least 99 replicates")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     y = np.asarray(dataset.y, dtype=float)
     x = np.asarray(dataset.x, dtype=float)
     z = np.asarray(dataset.controls, dtype=float)
@@ -150,7 +139,7 @@ def wild_cluster_boot(
     base = z @ gamma + beta0 * x
     design = np.column_stack([x, z])
     pinv = np.linalg.pinv(design)
-    x_til = x - np.linalg.qr(z)[0] @ (np.linalg.qr(z)[0].T @ x)
+    x_til = _residualize(x, z)
     denom = float(x_til @ x_til)
     cmat = np.zeros((n_cl, y.size))
     cmat[inv, np.arange(y.size)] = 1.0

@@ -23,7 +23,7 @@ from .errors import (
     SampleTooSmall,
 )
 from .model import YStar
-from .solver import TestEvaluator, blended_cv, t_statistic
+from .solver import TestEvaluator, gate_values
 from .table import TestTable, read_table
 
 
@@ -90,26 +90,40 @@ class Decision:
     notes: tuple[str, ...] = ()
 
 
-def _gate_values(y: YStar, ev: TestEvaluator) -> tuple[float, float]:
-    t = float(t_statistic(y.y_right, y.y_left, y.y0))
-    s2sum = float((y.y_right ** 2).sum() + (y.y_left ** 2).sum())
-    cv = float(blended_cv(s2sum, ev.cv_z, ev.cv_t))
-    return t, cv
-
-
-def decide(w, mu0: float, table: TestTable) -> Decision:
-    """Apply the stored test to H0: mean = mu0 for the given sample."""
-    ev = _evaluator(table)
+def _standardize(w, mu0: float, table: TestTable) -> tuple[YStar, tuple[str, ...]]:
+    """Standardized statistic of the sample at mu0, plus the note (also
+    warned once) that the sample is shorter than the table's design horizon."""
     s = summarize(w, table.k, mu0)
     notes = ()
     if s.n < table.n0:
         msg = f"sample size {s.n} is below the table's design horizon n0={table.n0}"
         warnings.warn(msg)
         notes = (msg,)
-    y = to_ystar(s)
-    t, cv = _gate_values(y, ev)
+    return to_ystar(s), notes
+
+
+def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables) -> np.ndarray:
+    """Rows rejected by every given table (the nested rule as a cumulative
+    AND); each table is evaluated only on the rows still rejected."""
+    reject = np.ones(y0.shape, dtype=bool)
+    for t in tables:
+        rows = np.flatnonzero(reject)
+        if rows.size == 0:
+            break
+        reject[rows] = _evaluator(t).decide_batch(yr[rows], yl[rows], y0[rows])
+    return reject
+
+
+def decide(w, mu0: float, table: TestTable) -> Decision:
+    """Apply the stored test to H0: mean = mu0 for the given sample."""
+    ev = _evaluator(table)
+    y, notes = _standardize(w, mu0, table)
+    t, cv = gate_values(y.y_right, y.y_left, y.y0, ev.cv_z, ev.cv_t)
     reject = bool(ev.decide(y.y_right, y.y_left, y.y0))
-    return Decision(reject=reject, t_statistic=t, critical_value=cv, alpha=table.alpha, notes=notes)
+    return Decision(
+        reject=reject, t_statistic=float(t[0]), critical_value=float(cv[0]),
+        alpha=table.alpha, notes=notes,
+    )
 
 
 class TableSet:
@@ -159,15 +173,11 @@ class TableSet:
 
     def nested_reject(self, w, mu0: float, alpha: float) -> bool:
         """Reject at alpha only if all tests at levels >= alpha reject."""
-        ok = False
-        for t in self.tables:
-            if t.alpha + 1e-12 >= alpha:
-                ok = True
-                if not decide(w, mu0, t).reject:
-                    return False
-        if not ok:
+        tables = [t for t in self.tables if t.alpha + 1e-12 >= alpha]
+        if not tables:
             raise ConfigurationError(f"no table at level >= {alpha}")
-        return True
+        y, _ = _standardize(w, mu0, tables[0])
+        return bool(_nested(y.y_right[None, :], y.y_left[None, :], np.array([y.y0]), tables)[0])
 
 
 @dataclass(frozen=True)
@@ -188,9 +198,10 @@ def p_value(w, mu0: float, tables: TableSet) -> PValueResult:
     """Scan levels from the largest down while the tests keep rejecting."""
     if not isinstance(tables, TableSet):
         tables = TableSet(tables)
+    y, _ = _standardize(w, mu0, tables.tables[0])
     smallest = None
-    for t in sorted(tables.tables, key=lambda t: -t.alpha):
-        if decide(w, mu0, t).reject:
+    for t in reversed(tables.tables):
+        if _evaluator(t).decide(y.y_right, y.y_left, y.y0):
             smallest = t.alpha
         else:
             break
@@ -217,13 +228,7 @@ def _decide_grid(w, mu0s: np.ndarray, tables: list[TestTable]) -> np.ndarray:
     yr = s.w_right[None, :] / d - shift[:, None]
     yl = s.w_left_neg[None, :] / d + shift[:, None]
     y0 = s.middle_sum / d - (s.n - 2 * s.k) * shift
-    reject = np.ones(shift.shape, dtype=bool)
-    for t in tables:
-        rows = np.flatnonzero(reject)
-        if rows.size == 0:
-            break
-        reject[rows] = _evaluator(t).decide_batch(yr[rows], yl[rows], y0[rows])
-    return reject
+    return _nested(yr, yl, y0, tables)
 
 
 def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[float, float]:

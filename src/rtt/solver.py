@@ -56,6 +56,7 @@ from .space import (
     eta_max_d,
     kappa_max,
     kappa_min,
+    single_tail_grid,
     single_tail_ok,
 )
 
@@ -79,6 +80,14 @@ DEFAULT_LADDER: tuple[tuple[float, float], ...] = (
     (1.00, 1.00),
     (1.50, 1.50),
 )
+
+# Shape cells and location offsets (above the lowest admissible location) of
+# the switching-boundary sweep shared by stage 1 and the stage-2 thin side.
+_BOUNDARY_XI_CELLS = (-0.3, 0.0, 0.2, 0.4)
+_BOUNDARY_KAPPA_OFFSETS = (0.0, 2.0)
+_BOUNDARY_ETA_FACTORS = (1.0, 0.3)  # thin-side scales, as fractions of eta*
+_BOUNDARY_DRAWS = 30_000  # standardized tail draws per shape cell
+_RP_DRAWS = 20_000  # Monte Carlo draws per boundary pair in stage 1
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,15 @@ def blended_cv(s2sum, cv_z: float, cv_t: float):
     return w * cv_z + (1.0 - w) * cv_t
 
 
+def gate_values(y_right, y_left, y0, cv_z: float, cv_t: float):
+    """Row-wise statistic t and blended critical value cv of the gate
+    (condition 1), which holds where |t| > cv."""
+    yr = np.atleast_2d(np.asarray(y_right, dtype=float))
+    yl = np.atleast_2d(np.asarray(y_left, dtype=float))
+    s2sum = (yr * yr).sum(axis=1) + (yl * yl).sum(axis=1)
+    return t_statistic(yr, yl, y0), blended_cv(s2sum, cv_z, cv_t)
+
+
 # ---------------------------------------------------------------------------
 # proposal construction
 
@@ -249,7 +267,6 @@ class _PoolCtx:
 
     def __init__(self, pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES, all_pairs: bool = False):
         self.pool = pool
-        self.alpha = alpha
         self.all_pairs = all_pairs
         self.xi_grid = tuple(xi_grid)
         self.fa_nodes = fa_nodes
@@ -400,7 +417,6 @@ def estimate_rp(test, theta: ThetaFull, pool: IsPool, offsets=None) -> RpEstimat
 def simulate_rp(test, theta: ThetaFull, mu: float, k: int, n: int, seed: int = 0) -> RpEstimate:
     """Plain Monte Carlo rejection rate (the direct oracle for estimate_rp)."""
     rng = np.random.default_rng(seed)
-    total = 0.0
     chunk = 100_000
     done = 0
     hits = 0.0
@@ -409,9 +425,8 @@ def simulate_rp(test, theta: ThetaFull, mu: float, k: int, n: int, seed: int = 0
         yr, yl, y0 = sample_ystar_block(theta, mu, k, rng, m)
         hits += float(np.asarray(test(yr, yl, y0), dtype=float).sum())
         done += m
-        total += m
-    p = hits / total
-    return RpEstimate(rp=p, se=math.sqrt(max(p * (1.0 - p), 1e-12) / total))
+    p = hits / done
+    return RpEstimate(rp=p, se=math.sqrt(max(p * (1.0 - p), 1e-12) / done))
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +451,19 @@ def _switch_boundary_eta(kappa: float, x_draws: np.ndarray, switch: SwitchConsta
     return float(np.sort(h)[-need])
 
 
-def _boundary_draws(cfg: SpaceConfig, xi_cells, seed: int, boundary_draws: int):
+def _boundary_draws(cfg: SpaceConfig, seed: int):
     """Standardized tail draws, one block per shape cell, in cell order."""
     rng = np.random.default_rng(seed)
-    return [(xi, sample_joint_tail(cfg.k, xi, rng, size=boundary_draws)) for xi in xi_cells]
+    return [(xi, sample_joint_tail(cfg.k, xi, rng, size=_BOUNDARY_DRAWS)) for xi in _BOUNDARY_XI_CELLS]
 
 
-def _boundary_sweep(cfg: SpaceConfig, switch: SwitchConstants, cells, kappa_offsets):
+def _boundary_sweep(cfg: SpaceConfig, switch: SwitchConstants, cells):
     """(xi, kappa, eta*) on the 90%-switching boundary for each shape cell and
     location offset; offsets where the tail switches at every scale are
     skipped."""
     for xi, x_draws in cells:
         k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
-        for off in kappa_offsets:
+        for off in _BOUNDARY_KAPPA_OFFSETS:
             kappa = min(k_lo + off, k_hi)
             eta = _switch_boundary_eta(kappa, x_draws, switch)
             if eta is not None:
@@ -459,9 +474,8 @@ def _direct_gate_rp(theta: ThetaFull, alpha: float, k: int, n: int, seed: int) -
     cv_z, cv_t = critical_values(alpha)
 
     def gate(yr, yl, y0):
-        s2sum = (yr * yr).sum(axis=1) + (yl * yl).sum(axis=1)
-        cv = blended_cv(s2sum, cv_z, cv_t)
-        return np.abs(t_statistic(yr, yl, y0)) > cv
+        t, cv = gate_values(yr, yl, y0, cv_z, cv_t)
+        return np.abs(t) > cv
 
     return simulate_rp(gate, theta, 0.0, k, n, seed=seed)
 
@@ -471,10 +485,6 @@ def calibrate_switching_direct(
     alpha: float,
     ladder=DEFAULT_LADDER,
     seed: int = 0,
-    boundary_draws: int = 30_000,
-    rp_draws: int = 20_000,
-    xi_cells=(-0.3, 0.0, 0.2, 0.4),
-    kappa_offsets=(0.0, 2.0),
 ) -> SwitchConstants:
     """Stage 1: smallest ladder point whose gate-only test respects the level
     on the 90%-switching boundary manifold, by plain Monte Carlo.
@@ -483,12 +493,12 @@ def calibrate_switching_direct(
     importance-sampling pool, which lets the pool built afterwards cover the
     switching-dependent candidate grids exactly.
     """
-    cells = _boundary_draws(cfg, xi_cells, seed, boundary_draws)
+    cells = _boundary_draws(cfg, seed)
     diagnostics = []
     for rho1, rho_r in ladder:
         switch = SwitchConstants(rho1, rho_r)
         singles = []
-        for xi, kappa, eta in _boundary_sweep(cfg, switch, cells, kappa_offsets):
+        for xi, kappa, eta in _boundary_sweep(cfg, switch, cells):
             cand = TailParams(float(kappa), float(eta), float(xi))
             if single_tail_ok(cand, cfg):
                 singles.append(cand)
@@ -505,7 +515,7 @@ def calibrate_switching_direct(
         worst_pair = pairs[0]
         ok = True
         for i, pair in enumerate(pairs):
-            est = _direct_gate_rp(pair, alpha, cfg.k, rp_draws, seed=seed + 17 * i + 1)
+            est = _direct_gate_rp(pair, alpha, cfg.k, _RP_DRAWS, seed=seed + 17 * i + 1)
             if est.rp > worst.rp:
                 worst, worst_pair = est, pair
             if est.rp > alpha + 2.0 * est.se:
@@ -534,13 +544,12 @@ def heavy_single_candidates(
     n_kappa: int = 5,
     n_eta: int = 4,
     seed: int = 0,
-    boundary_draws: int = 30_000,
 ) -> list[TailParams]:
     """Single-tail grid over the non-switching part of the one-tail space."""
     rng = np.random.default_rng(seed)
     out = []
     for xi in np.linspace(-0.5, 0.499, n_xi):
-        draws = sample_joint_tail(cfg.k, xi, rng, size=boundary_draws)
+        draws = sample_joint_tail(cfg.k, xi, rng, size=_BOUNDARY_DRAWS)
         k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
         for kappa in np.linspace(k_lo, k_hi, n_kappa):
             e_max = eta_max_d(kappa, xi, cfg)
@@ -557,21 +566,13 @@ def heavy_single_candidates(
     return out
 
 
-def boundary_left_reps(
-    cfg: SpaceConfig,
-    switch: SwitchConstants,
-    xi_cells=(-0.3, 0.0, 0.2, 0.4),
-    kappa_offsets=(0.0, 2.0),
-    eta_factors=(1.0, 0.3),
-    seed: int = 1,
-    boundary_draws: int = 30_000,
-) -> list[TailParams]:
+def boundary_left_reps(cfg: SpaceConfig, switch: SwitchConstants, seed: int = 1) -> list[TailParams]:
     """Thin-side representatives on (and just inside) the switching boundary."""
-    cells = _boundary_draws(cfg, xi_cells, seed, boundary_draws)
+    cells = _boundary_draws(cfg, seed)
     out = []
-    for xi, kappa, e_star in _boundary_sweep(cfg, switch, cells, kappa_offsets):
+    for xi, kappa, e_star in _boundary_sweep(cfg, switch, cells):
         e_max = eta_max_d(kappa, xi, cfg)
-        for fac in eta_factors:
+        for fac in _BOUNDARY_ETA_FACTORS:
             eta = min(max(e_star * fac, e_max * 2e-3), e_max)
             cand = TailParams(float(kappa), float(eta), float(xi))
             if single_tail_ok(cand, cfg):
@@ -587,16 +588,7 @@ def proposal_region(
     eta_decades: float = 3.0,
 ) -> list[TailParams]:
     """Mixture components spanning each cell's scale range for the pool."""
-    out = []
-    for xi in np.linspace(-0.5, 0.499, n_xi):
-        k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
-        for kappa in np.linspace(k_lo, k_hi, n_kappa):
-            e_max = eta_max_d(kappa, xi, cfg)
-            for eta in e_max * np.geomspace(10.0 ** (-eta_decades), 1.0, per_cell):
-                cand = TailParams(float(kappa), float(eta), float(xi))
-                if single_tail_ok(cand, cfg):
-                    out.append(cand)
-    return out
+    return single_tail_grid(cfg, n_xi, n_kappa, per_cell, eta_lo_frac=10.0 ** -eta_decades)
 
 
 # ---------------------------------------------------------------------------
@@ -707,37 +699,29 @@ class _RpSweep:
         uniq_l = {th.left.astuple(): th.left for th in checks}
         budget = (len(uniq_r) + len(uniq_l)) * self.la.size * 4
         self._cache_gathers = budget <= _GATHER_CACHE_BUDGET
-        self._ug: dict[tuple, np.ndarray] = {}
-        self._vg: dict[tuple, np.ndarray] = {}
+        self._gathers: dict[tuple, np.ndarray] = {}
 
-    def _u_at(self, t: TailParams) -> np.ndarray:
-        key = t.astuple()
-        got = self._ug.get(key)
+    def _at(self, t: TailParams, right: bool) -> np.ndarray:
+        """Float32 weights of t at each entry's right (``la``) or left
+        (``lb``) draw."""
+        key = (right, t.astuple())
+        got = self._gathers.get(key)
         if got is None:
-            got = self.ctx.weight(t)[self.la].astype(np.float32)
+            got = self.ctx.weight(t)[self.la if right else self.lb].astype(np.float32)
             if self._cache_gathers:
-                self._ug[key] = got
-        return got
-
-    def _v_at(self, t: TailParams) -> np.ndarray:
-        key = t.astuple()
-        got = self._vg.get(key)
-        if got is None:
-            got = self.ctx.weight(t)[self.lb].astype(np.float32)
-            if self._cache_gathers:
-                self._vg[key] = got
+                self._gathers[key] = got
         return got
 
     def rp(self, bits: np.ndarray) -> np.ndarray:
         out = np.empty(len(self.checks))
         for i, th in enumerate(self.checks):
-            w = bits * self._u_at(th.right)
-            out[i] = float(w @ self._v_at(th.left)) * self.scale
+            w = bits * self._at(th.right, True)
+            out[i] = float(w @ self._at(th.left, False)) * self.scale
         return out
 
     def rp_se(self, bits: np.ndarray, i: int) -> RpEstimate:
         th = self.checks[i]
-        c = bits * self._u_at(th.right).astype(float) * self._v_at(th.left).astype(float) * self.scale
+        c = bits * self._at(th.right, True).astype(float) * self._at(th.left, False).astype(float) * self.scale
         r = np.bincount(self.la, weights=c, minlength=self.ctx.pool.n)
         return RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, self.ctx.pool.K))
 
@@ -750,11 +734,12 @@ def _iterate_lfd(
     alpha: float,
     tuning: SolverTuning,
     n_atoms: int,
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Multiplicative-weights fixed point: binding checks pushed to level alpha.
 
     ``denom(lam)`` gives the shifted mixture denominator at every sweep entry
-    for atom weights ``lam``; the test rejects where it is below one.
+    for atom weights ``lam``; the test rejects where it is below one.  Returns
+    the converged weights; raises NonconvergenceError at the iteration cap.
     """
     lam = np.full(n_atoms, 1.0 / n_atoms)
 
@@ -772,9 +757,6 @@ def _iterate_lfd(
             hi = mid
     lam *= math.exp(hi)
 
-    history = []
-    converged = False
-    worst_report = []
     for it in range(1, tuning.max_iter + 1):
         bits = bits_of(lam)
         rp = sweep.rp(bits)
@@ -784,7 +766,6 @@ def _iterate_lfd(
             "lfd stage=%d iter=%d max_rp=%.6f se=%.6f worst=%s",
             stage, it, est.rp, est.se, fmt_theta(sweep.checks[i_worst]),
         )
-        history.append((it, est.rp, est.se))
         if it >= tuning.min_iter and est.rp <= alpha + 2.0 * est.se:
             over = [i for i in np.flatnonzero(rp > alpha) if i != i_worst]
             fine = True
@@ -794,8 +775,7 @@ def _iterate_lfd(
                     fine = False
                     break
             if fine:
-                converged = True
-                break
+                return lam
         # worst violation per atom across its checks; slack atoms decay at a
         # quarter of the violation rate to keep the fixed point from cycling
         v = np.full(n_atoms, -np.inf)
@@ -805,16 +785,12 @@ def _iterate_lfd(
         step = np.where(raw >= 0.0, raw, 0.25 * raw)
         step = np.clip(step, -0.5 * tuning.max_log_step, tuning.max_log_step)
         lam *= np.exp(step)
-    if not converged:
-        bits = bits_of(lam)
-        rp = sweep.rp(bits)
-        order = np.argsort(rp)[::-1][:5]
-        worst_report = [(fmt_theta(sweep.checks[i]), float(rp[i])) for i in order]
-        raise NonconvergenceError(
-            f"stage {stage} hit the iteration cap with max RP {rp.max():.4f} > {alpha}",
-            worst=worst_report,
-        )
-    return lam, {"iterations": history, "converged": converged}
+    rp = sweep.rp(bits_of(lam))
+    order = np.argsort(rp)[::-1][:5]
+    raise NonconvergenceError(
+        f"stage {stage} hit the iteration cap with max RP {rp.max():.4f} > {alpha}",
+        worst=[(fmt_theta(sweep.checks[i]), float(rp[i])) for i in order],
+    )
 
 # ---------------------------------------------------------------------------
 # stages 2 and 3
@@ -825,21 +801,16 @@ def solve_single_tail(
     alpha: float,
     pool: IsPool,
     switch: SwitchConstants,
-    candidates: list[TailParams] | None = None,
-    left_boundary: list[TailParams] | None = None,
+    candidates: list[TailParams],
+    left_boundary: list[TailParams],
     tuning: SolverTuning = SolverTuning(),
     xi_grid=DEFAULT_XI_GRID,
     fa_nodes: int = DEFAULT_NODES,
-    seed: int = 0,
 ) -> list[LfdAtom]:
     """Stage 2: single-tail atoms so that gate+condition-2 respects the level
     for pairs (thin boundary left, heavy right) inside the null space."""
     ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
     ctx.set_switch(switch)
-    if candidates is None:
-        candidates = heavy_single_candidates(cfg, switch, seed=seed)
-    if left_boundary is None:
-        left_boundary = boundary_left_reps(cfg, switch, seed=seed + 1)
     if not candidates:
         raise ConfigurationError("no heavy single-tail candidates; switching absorbs the space")
     if not left_boundary:
@@ -855,7 +826,7 @@ def solve_single_tail(
         raise ConfigurationError("no admissible (boundary, heavy) pairs to check")
     denom = _SingleDenom(ctx, candidates)
     sweep = _RpSweep(ctx, checks)
-    lam, _ = _iterate_lfd(
+    lam = _iterate_lfd(
         2, denom.denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates)
     )
     keep = lam > tuning.prune_rel * lam.max()
@@ -882,10 +853,9 @@ def _full_rows(atoms: list[LfdAtom]):
     return tuple(out)
 
 
-def _single_condition_bits(ctx: _PoolCtx, single_atoms: list[LfdAtom]):
-    """Conditions 2 and 3 of the stored single-tail test at every entry."""
-    params = [a.theta for a in single_atoms]
-    lam = np.array([a.weight for a in single_atoms])
+def _single_condition_bits(ctx: _PoolCtx, params: list[TailParams], lam: np.ndarray):
+    """Conditions 2 and 3 of the single-tail test with atoms ``params`` and
+    weights ``lam`` at every entry."""
     bits2 = _SingleDenom(ctx, params).denom(lam) < 1.0
     bits3 = _SingleDenom(ctx, params, swapped=True).denom(lam) < 1.0
     return bits2 & bits3
@@ -897,7 +867,7 @@ def solve_two_tail(
     pool: IsPool,
     single_atoms: list[LfdAtom],
     switch: SwitchConstants,
-    pair_pool: list[TailParams] | None = None,
+    pair_pool: list[TailParams],
     max_pairs: int = 420,
     tuning: SolverTuning = SolverTuning(),
     xi_grid=DEFAULT_XI_GRID,
@@ -909,8 +879,6 @@ def solve_two_tail(
     unordered pair contributes both orderings with half its weight."""
     ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
     ctx.set_switch(switch)
-    if pair_pool is None:
-        pair_pool = heavy_single_candidates(cfg, switch, seed=seed)
     if not pair_pool:
         raise ConfigurationError("no heavy single-tail candidates for pairing")
     diag = []
@@ -938,11 +906,13 @@ def solve_two_tail(
             of_pair.append(p)
             half.append(1.0 if same else 0.5)
     of_pair, half = np.asarray(of_pair), np.asarray(half)
-    sub = np.flatnonzero(_single_condition_bits(ctx, single_atoms))
+    s_params = [a.theta for a in single_atoms]
+    s_lam = np.array([a.weight for a in single_atoms])
+    sub = np.flatnonzero(_single_condition_bits(ctx, s_params, s_lam))
     checks = [ThetaFull(left=a, right=b) for a, b in pairs]
     pair_denom = _PairDenom(ctx, ordered, sub)
     sweep = _RpSweep(ctx, checks, sub=sub)
-    lam, _ = _iterate_lfd(
+    lam = _iterate_lfd(
         3, lambda w: pair_denom.denom(half * w[of_pair]),
         sweep, np.arange(len(pairs)), alpha, tuning, len(pairs),
     )
@@ -989,7 +959,7 @@ class TestEvaluator:
 
     __test__ = False  # not a pytest class
 
-    def __init__(self, table, fa_nodes: int = DEFAULT_NODES):
+    def __init__(self, table):
         from .gev import log_tail_density_multi  # local alias for hot loop
 
         self._ltdm = log_tail_density_multi
@@ -998,7 +968,6 @@ class TestEvaluator:
         self.alpha = table.alpha
         self.switch = SwitchConstants(table.rho1, table.rho_r)
         self.xi_grid = tuple(table.xi_grid)
-        self.fa_nodes = fa_nodes
         self.cv_z, self.cv_t = critical_values(table.alpha)
         s = np.asarray(table.single_atoms, dtype=float).reshape(-1, 4)
         self.s_loglam = np.log(s[:, 0])
@@ -1032,11 +1001,7 @@ class TestEvaluator:
         return _logsumexp_rows(self.f_loglam[None, :] + logf)
 
     def condition1(self, y_right, y_left, y0):
-        t = t_statistic(y_right, y_left, y0)
-        yr = np.atleast_2d(np.asarray(y_right, dtype=float))
-        yl = np.atleast_2d(np.asarray(y_left, dtype=float))
-        s2sum = (yr * yr).sum(axis=1) + (yl * yl).sum(axis=1)
-        cv = blended_cv(s2sum, self.cv_z, self.cv_t)
+        t, cv = gate_values(y_right, y_left, y0, self.cv_z, self.cv_t)
         return np.abs(t) > cv
 
     def decide_batch(self, y_right, y_left, y0) -> np.ndarray:
@@ -1053,8 +1018,8 @@ class TestEvaluator:
 
     def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray) -> np.ndarray:
         """Conditions 2 to 4 on gate-passing rows."""
-        logfa_r = np.atleast_1d(log_f_a_single(yrs, self.xi_grid, self.fa_nodes))
-        logfa_l = np.atleast_1d(log_f_a_single(yls, self.xi_grid, self.fa_nodes))
+        logfa_r = np.atleast_1d(log_f_a_single(yrs, self.xi_grid, DEFAULT_NODES))
+        logfa_l = np.atleast_1d(log_f_a_single(yls, self.xi_grid, DEFAULT_NODES))
         chi_r = np.atleast_1d(switching_index(yrs, self.switch))
         chi_l = np.atleast_1d(switching_index(yls, self.switch))
         c2 = _BOOST * chi_l + logfa_r > self._single_mixture(yrs, yls, y0s)
@@ -1066,34 +1031,6 @@ class TestEvaluator:
         return bool(self.decide_batch(y_right, y_left, [y0])[0])
 
 
-def evaluate_conditions(
-    y,
-    atoms_full: list[LfdAtom],
-    atoms_single: list[LfdAtom],
-    switch: SwitchConstants,
-    alpha: float,
-    xi_grid=DEFAULT_XI_GRID,
-    fa_nodes: int = DEFAULT_NODES,
-) -> bool:
-    """Single-observation evaluation of the four rejection conditions."""
-    from .table import TestTable
-
-    if not atoms_full or not atoms_single:
-        raise InvalidArgument("both atom lists must be nonempty")
-    table = TestTable(
-        k=len(np.atleast_1d(y.y_right)),
-        n0=2 * len(np.atleast_1d(y.y_right)) + 2,
-        alpha=alpha,
-        rho1=switch.rho1,
-        rho_r=switch.rho_r,
-        single_atoms=_single_rows(atoms_single),
-        full_atoms=_full_rows(atoms_full),
-        xi_grid=tuple(xi_grid),
-    )
-    ev = TestEvaluator(table, fa_nodes=fa_nodes)
-    return ev.decide(y.y_right, y.y_left, y.y0)
-
-
 # ---------------------------------------------------------------------------
 # stage 4 spot check
 
@@ -1101,8 +1038,9 @@ def evaluate_conditions(
 def _table_entry_bits(ctx: _PoolCtx, table) -> np.ndarray:
     """Composite-test bits at the gate-passing pool entries for a table."""
     ctx.set_switch(SwitchConstants(table.rho1, table.rho_r))
-    s_atoms = [LfdAtom(theta=TailParams(r[1], r[2], r[3]), weight=r[0]) for r in table.single_atoms]
-    sub = np.flatnonzero(_single_condition_bits(ctx, s_atoms))
+    params = [TailParams(r[1], r[2], r[3]) for r in table.single_atoms]
+    lam = np.array([r[0] for r in table.single_atoms])
+    sub = np.flatnonzero(_single_condition_bits(ctx, params, lam))
     atoms = [(TailParams(r[1], r[2], r[3]), TailParams(r[4], r[5], r[6])) for r in table.full_atoms]
     acc = _PairDenom(ctx, atoms, sub).denom(np.array([r[0] for r in table.full_atoms]))
     bits = np.zeros(ctx.entries, dtype=np.float32)
@@ -1130,8 +1068,12 @@ def spot_check(table, pool: IsPool, thetas: list[ThetaFull], fa_nodes: int = DEF
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """All knobs of the four-stage construction; everything is recorded in
-    the resulting table's metadata."""
+    """All knobs of the four-stage construction.
+
+    The table keeps k, n0, alpha and xi_grid, and its metadata seed, n_draws,
+    recombine, fa_nodes, the n_xi x n_kappa x n_eta grid, step_c, margin_se
+    and max_iter.  proposal_per_cell, eta_decades, ladder, max_pairs, the
+    spot_* settings and the other tuning fields are not recorded."""
 
     k: int = 4
     n0: int = 50

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ class TestPValue:
         a = p_value(w, 0.0, tables)
         b = p_value(1e4 * w, 0.0, tables)
         assert (a.value, a.exceeds_max) == (b.value, b.exceeds_max)
+
+    def test_small_sample_warns_once(self):
+        # rejected at every level, so both calls evaluate every table
+        tables = self.make_set()
+        w = np.random.default_rng(8).normal(size=20) + 3.0
+        msg = "sample size 20 is below the table's design horizon n0=50"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert p_value(w, 0.0, tables) == PValueResult(0.01)
+        assert [str(c.message) for c in caught] == [msg]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert tables.nested_reject(w, 0.0, 0.01)
+        assert [str(c.message) for c in caught] == [msg]
 
     def test_set_validation(self):
         with pytest.raises(ConfigurationError):

@@ -8,13 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rtt.errors import CalibrationError, InvalidArgument
-from rtt.fa import log_f_a_single
+from rtt.fa import DEFAULT_XI_GRID, log_f_a_single
 from rtt.gev import TailParams
-from rtt.model import ThetaFull, YStar, log_joint_density_parts
+from rtt.model import ThetaFull, log_joint_density_parts
 from rtt.solver import (
     DEFAULT_LADDER,
     IsPool,
-    LfdAtom,
     SwitchConstants,
     TestEvaluator,
     _BOOST,
@@ -26,11 +25,12 @@ from rtt.solver import (
     _RpSweep,
     _SingleDenom,
     SolverTuning,
+    boundary_left_reps,
     build_proposal,
     calibrate_switching_direct,
     critical_values,
     estimate_rp,
-    evaluate_conditions,
+    heavy_single_candidates,
     proposal_region,
     simulate_rp,
     solve_single_tail,
@@ -180,10 +180,13 @@ def _stub_table(alpha=0.05, lam=1e-250, k=4):
 
 class TestEvaluateConditions:
     def test_zero_observation_never_rejects(self):
-        y = YStar(np.zeros(4), np.zeros(4), 0.0)
-        atoms_s = [LfdAtom(TailParams(3.0, 0.05, 0.0), 1.0)]
-        atoms_f = [LfdAtom(ThetaFull(TailParams(3.0, 0.05, 0.0), TailParams(3.0, 0.05, 0.0)), 1.0)]
-        assert not evaluate_conditions(y, atoms_f, atoms_s, SwitchConstants(0.1, 0.1), 0.05)
+        table = TestTable(
+            k=4, n0=10, alpha=0.05, rho1=0.1, rho_r=0.1,
+            single_atoms=((1.0, 3.0, 0.05, 0.0),),
+            full_atoms=((1.0, 3.0, 0.05, 0.0, 3.0, 0.05, 0.0),),
+            xi_grid=DEFAULT_XI_GRID,
+        )
+        assert not TestEvaluator(table).decide(np.zeros(4), np.zeros(4), 0.0)
 
     def test_blended_cv_at_zero_tails(self):
         cv_z, cv_t = critical_values(0.05)
@@ -295,7 +298,7 @@ class TestNeymanPearsonOracle:
         pairs = [(th, th)]
         denom = _PairDenom(ctx, pairs, np.arange(ctx.entries))
         sweep = _RpSweep(ctx, [theta])
-        lam, _ = _iterate_lfd(
+        lam = _iterate_lfd(
             3, denom.denom, sweep, np.zeros(1, dtype=int), alpha,
             SolverTuning(max_iter=120, min_iter=10, prescale_iter=30), 1,
         )
@@ -319,6 +322,7 @@ class TestSolveSingleTail:
         with caplog.at_level(logging.INFO, logger="rtt.solver"):
             atoms = solve_single_tail(
                 CFG, 0.05, pool, sw,
+                heavy_single_candidates(CFG, sw, seed=0), boundary_left_reps(CFG, sw, seed=1),
                 tuning=SolverTuning(max_iter=60, prescale_iter=14),
                 fa_nodes=24,
             )
@@ -333,18 +337,17 @@ class TestSolveSingleTail:
         # [alpha - 3 se, alpha + 2 se] and no check exceeds the upper edge
         alpha = 0.05
         sw = SwitchConstants(0.1, 0.1)
+        lefts = boundary_left_reps(CFG, sw, seed=1)
+        cands = heavy_single_candidates(CFG, sw, seed=0)
         atoms = solve_single_tail(
-            CFG, alpha, pool, sw,
+            CFG, alpha, pool, sw, cands, lefts,
             tuning=SolverTuning(max_iter=120, min_iter=25, prescale_iter=14),
             fa_nodes=24,
         )
         ctx = _ctx_for(pool, alpha)
         ctx.set_switch(sw)
-        from rtt.solver import boundary_left_reps, heavy_single_candidates
         from rtt.space import contains
 
-        lefts = boundary_left_reps(CFG, sw, seed=1)
-        cands = heavy_single_candidates(CFG, sw, seed=0)
         params = [a.theta for a in atoms]
         lam = np.array([a.weight for a in atoms])
         denom = _SingleDenom(ctx, params)
