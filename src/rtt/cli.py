@@ -21,6 +21,7 @@ import csv
 import glob
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -182,10 +183,8 @@ def _cmd_build(args) -> int:
         )
     else:
         config = BuildConfig(k=args.k, n0=args.n0, alpha=args.alpha, seed=args.seed)
-    if args.n_draws:
-        config = BuildConfig(**{**config.__dict__, "n_draws": args.n_draws})
-    if args.recombine:
-        config = BuildConfig(**{**config.__dict__, "recombine": args.recombine})
+    overrides = {"n_draws": args.n_draws, "recombine": args.recombine}
+    config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
     table = build_table(config)
     write_table(table, args.out)
     print(f"wrote table to {args.out}")
@@ -197,6 +196,13 @@ def _cmd_build(args) -> int:
         full_atoms=len(table.full_atoms),
     )
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-draws", type=int, default=None)
-    p.add_argument("--recombine", type=int, default=None)
+    p.add_argument("--n-draws", type=_positive_int, default=None)
+    p.add_argument("--recombine", type=_positive_int, default=None)
     p.add_argument("--profile", choices=("desk", "smoke"), default="desk")
     p.set_defaults(func=_cmd_build)
     return parser

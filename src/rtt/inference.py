@@ -236,18 +236,12 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     if not 0.0 < level < 1.0:
         raise InvalidArgument("confidence level must lie in (0, 1)")
     alpha = 1.0 - level
-    if isinstance(table, TableSet):
-        if min(abs(a - alpha) for a in table.alphas) > 1e-9:
-            raise ConfigurationError(f"no table at level alpha={alpha}")
-        tables = [t for t in table.tables if t.alpha + 1e-12 >= alpha]
-        if not tables:
-            raise ConfigurationError(f"no table at level >= {alpha}")
-    else:
-        if abs(table.alpha - alpha) > 1e-9:
-            raise ConfigurationError(
-                f"table level alpha={table.alpha} does not match requested {alpha}"
-            )
-        tables = [table]
+    tset = table if isinstance(table, TableSet) else TableSet([table])
+    # the level picks one table; the interval nests every table at or above it
+    at = min(tset.tables, key=lambda t: abs(t.alpha - alpha))
+    if abs(at.alpha - alpha) > 1e-9:
+        raise ConfigurationError(f"no table at level alpha={alpha}")
+    tables = [t for t in tset.tables if t.alpha >= at.alpha]
     w = np.asarray(w, dtype=float)
     center = float(w.mean())
     span = CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)

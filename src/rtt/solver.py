@@ -3,9 +3,12 @@
 The composite test rejects only when four conditions hold simultaneously: a
 blended-critical-value gate on the full-sample statistic, two single-tail
 likelihood-ratio conditions (one per tail, each softened by the opposite
-tail's switching index), and a two-tail likelihood-ratio condition.  The
-construction proceeds in four stages over increasingly large parts of the
-nuisance space:
+tail's switching index), and a two-tail likelihood-ratio condition.  Each
+likelihood-ratio condition holds where its shifted denominator, the weighted
+sum over atoms of exp(min(term, _EXP_CAP)) with the terms of ``_single_term``
+and ``_pair_term``, is below 1: the solver's stages and ``TestEvaluator``
+decide with the same rule.  The construction proceeds in four stages over
+increasingly large parts of the nuisance space:
 
 1. choose switching constants so the gate alone controls size where both
    tails switch with 90% probability;
@@ -42,7 +45,7 @@ from .errors import (
     NonconvergenceError,
 )
 from .fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
-from .gev import TailParams, XI_ZERO_TOL, log_tail_density, sample_joint_tail
+from .gev import TailParams, XI_ZERO_TOL, log_tail_density, log_tail_density_multi, sample_joint_tail
 from .model import (
     ThetaFull,
     _m_star_raw,
@@ -379,6 +382,13 @@ def _block_se_from_per_draw(r: np.ndarray, K: int) -> float:
     return float(s.std(ddof=1) * math.sqrt(nb) * scale)
 
 
+def _rp_from_entries(c: np.ndarray, la: np.ndarray, pool: IsPool) -> RpEstimate:
+    """RP as the sum of per-entry contributions c, with the batch-means se
+    of their sums per first draw ``la``."""
+    r = np.bincount(la, weights=c, minlength=pool.n)
+    return RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, pool.K))
+
+
 # ---------------------------------------------------------------------------
 # public importance-sampling estimator
 
@@ -614,6 +624,20 @@ _GATHER_CACHE_BUDGET = 4e8  # bytes of float32 weight gathers a sweep may keep
 _DECIDE_CHUNK = 64  # gate-passing rows per decide_batch block; bounds its memory
 
 
+def _single_term(lf, ms, base, var, log_var, shift):
+    """Shifted log term of one single-tail atom: log f_T(heavy) plus the
+    normal log density, with variance ``var``, of ``base`` + M*(heavy)."""
+    u = base + ms
+    return lf - 0.5 * u * u / var - 0.5 * log_var - _LOG_SQRT_2PI - shift
+
+
+def _pair_term(lf_r, lf_l, ms_r, ms_l, y0_r, y0_l, shift):
+    """Shifted log term of one two-tail atom: both tail log densities plus
+    the standard normal log density of (y0_r + M*_r) - (y0_l + M*_l)."""
+    u = (y0_r + ms_r) - (y0_l + ms_l)
+    return lf_r + lf_l - 0.5 * u * u - _LOG_SQRT_2PI - shift
+
+
 class _SingleDenom:
     """Shifted denominator of a single-tail condition at every entry.
 
@@ -640,13 +664,8 @@ class _SingleDenom:
             if lam_i <= 0.0:
                 continue
             lf, ms = self.ctx.tail_arrays(t)
-            u = self.base + ms[heavy]
-            term = (
-                lf[heavy].astype(float)
-                - 0.5 * u * u / self.var
-                - 0.5 * self.log_var
-                - _LOG_SQRT_2PI
-                - self.shift
+            term = _single_term(
+                lf[heavy].astype(float), ms[heavy], self.base, self.var, self.log_var, self.shift
             )
             np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
         return out
@@ -674,13 +693,9 @@ class _PairDenom:
                 continue
             lf_r, ms_r = ctx.tail_arrays(right)
             lf_l, ms_l = ctx.tail_arrays(left)
-            u = (self.y0e_la + ms_r[la].astype(float)) - (self.y0e_lb + ms_l[lb].astype(float))
-            term = (
-                lf_r[la].astype(float)
-                + lf_l[lb].astype(float)
-                - 0.5 * u * u
-                - _LOG_SQRT_2PI
-                - self.shift
+            term = _pair_term(
+                lf_r[la].astype(float), lf_l[lb].astype(float), ms_r[la], ms_l[lb],
+                self.y0e_la, self.y0e_lb, self.shift,
             )
             np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
         return out
@@ -722,8 +737,7 @@ class _RpSweep:
     def rp_se(self, bits: np.ndarray, i: int) -> RpEstimate:
         th = self.checks[i]
         c = bits * self._at(th.right, True).astype(float) * self._at(th.left, False).astype(float) * self.scale
-        r = np.bincount(self.la, weights=c, minlength=self.ctx.pool.n)
-        return RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, self.ctx.pool.K))
+        return _rp_from_entries(c, self.la, self.ctx.pool)
 
 
 def _iterate_lfd(
@@ -927,9 +941,10 @@ def solve_two_tail(
 # runtime evaluation of a stored test
 
 
-def _big_m_star_grid(y_k: np.ndarray, kappa: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """M*(y, theta_a) for y_k (m,) against parameter vectors (a,); entries
-    outside the support are zero-filled (masked by the -inf tail density)."""
+def _big_m_star_grid(y_k: np.ndarray, lf: np.ndarray, kappa: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """M*(y, theta_a) for y_k (m,) against parameter vectors (a,), zero where
+    the tail log density lf (m, a) is -inf, as in ``_PoolCtx.tail_arrays``, so
+    such an atom contributes exactly 0 even where M* overflows."""
     x = y_k[:, None] / eta[None, :] - kappa[None, :]
     xib = xi[None, :]
     near0 = (np.abs(xi) < XI_ZERO_TOL)[None, :]
@@ -939,66 +954,39 @@ def _big_m_star_grid(y_k: np.ndarray, kappa: np.ndarray, eta: np.ndarray, xi: np
             kappa[None, :] + (x + 1.0) / (1.0 - xib)
         )
         gmb = np.exp(-x) * (kappa[None, :] + x + 1.0)
-    out = np.where(near0, gmb, gen)
-    out = np.where(near0 | (t > 0.0), out, 0.0)
-    return eta[None, :] * out
+    return np.where(lf > -np.inf, eta[None, :] * np.where(near0, gmb, gen), 0.0)
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    mx = a.max(axis=1)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    with np.errstate(over="ignore"):
-        s = np.exp(a - safe[:, None]).sum(axis=1)
-    out = safe + np.log(s)
-    out[~np.isfinite(mx)] = -np.inf
-    return out
+def _denom_rows(term: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Sum over the atom axis of lam * exp(min(term, _EXP_CAP))."""
+    return (lam * np.exp(np.minimum(term, _EXP_CAP))).sum(axis=1)
 
 
 class TestEvaluator:
-    """Vectorized evaluation of a stored composite test on standardized data."""
+    """Vectorized evaluation of a stored composite test on standardized data:
+    conditions 2 to 4 hold where their denominators, summed from the solver's
+    terms, are below 1, the rule the table's size was certified with."""
 
     __test__ = False  # not a pytest class
 
     def __init__(self, table):
-        from .gev import log_tail_density_multi  # local alias for hot loop
-
-        self._ltdm = log_tail_density_multi
         self.table = table
         self.k = table.k
         self.alpha = table.alpha
         self.switch = SwitchConstants(table.rho1, table.rho_r)
         self.xi_grid = tuple(table.xi_grid)
         self.cv_z, self.cv_t = critical_values(table.alpha)
-        s = np.asarray(table.single_atoms, dtype=float).reshape(-1, 4)
-        self.s_loglam = np.log(s[:, 0])
-        self.s_kap, self.s_eta, self.s_xi = s[:, 1], s[:, 2], s[:, 3]
-        f = np.asarray(table.full_atoms, dtype=float).reshape(-1, 7)
-        self.f_loglam = np.log(f[:, 0])
-        self.fl_kap, self.fl_eta, self.fl_xi = f[:, 1], f[:, 2], f[:, 3]
-        self.fr_kap, self.fr_eta, self.fr_xi = f[:, 4], f[:, 5], f[:, 6]
+        # atom columns: weight, then (kappa, eta, xi) of each tail (full: left, right)
+        self.s_atoms = np.asarray(table.single_atoms, dtype=float).reshape(-1, 4).T.copy()
+        self.f_atoms = np.asarray(table.full_atoms, dtype=float).reshape(-1, 7).T.copy()
 
-    def _single_mixture(self, heavy: np.ndarray, thin: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        lft = self._ltdm(heavy, self.s_kap, self.s_eta, self.s_xi)
-        ms = _big_m_star_grid(heavy[:, -1], self.s_kap, self.s_eta, self.s_xi)
-        y0t = y0 - thin.sum(axis=1)
-        vt = 1.0 + (thin * thin).sum(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = y0t[:, None] + ms
-            logn = -0.5 * u * u / vt[:, None] - 0.5 * np.log(vt)[:, None] - _LOG_SQRT_2PI
-            logf = np.where(np.isfinite(lft) & np.isfinite(logn), lft + logn, -np.inf)
-        return _logsumexp_rows(self.s_loglam[None, :] + logf)
-
-    def _full_mixture(self, yr: np.ndarray, yl: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        lfr = self._ltdm(yr, self.fr_kap, self.fr_eta, self.fr_xi)
-        lfl = self._ltdm(yl, self.fl_kap, self.fl_eta, self.fl_xi)
-        msr = _big_m_star_grid(yr[:, -1], self.fr_kap, self.fr_eta, self.fr_xi)
-        msl = _big_m_star_grid(yl[:, -1], self.fl_kap, self.fl_eta, self.fl_xi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = y0[:, None] + msr - msl
-            logn = -0.5 * u * u - _LOG_SQRT_2PI
-            ok = np.isfinite(lfr) & np.isfinite(lfl) & np.isfinite(logn)
-            logf = np.where(ok, lfr + lfl + logn, -np.inf)
-        return _logsumexp_rows(self.f_loglam[None, :] + logf)
+    def _single_denom(self, heavy: np.ndarray, thin: np.ndarray, y0: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        lf = log_tail_density_multi(heavy, *self.s_atoms[1:])
+        ms = _big_m_star_grid(heavy[:, -1], lf, *self.s_atoms[1:])
+        var = 1.0 + (thin * thin).sum(axis=1)
+        base = y0 - thin.sum(axis=1)
+        term = _single_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
+        return _denom_rows(term, self.s_atoms[0])
 
     def condition1(self, y_right, y_left, y0):
         t, cv = gate_values(y_right, y_left, y0, self.cv_z, self.cv_t)
@@ -1017,14 +1005,21 @@ class TestEvaluator:
         return out
 
     def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray) -> np.ndarray:
-        """Conditions 2 to 4 on gate-passing rows."""
-        logfa_r = np.atleast_1d(log_f_a_single(yrs, self.xi_grid, DEFAULT_NODES))
-        logfa_l = np.atleast_1d(log_f_a_single(yls, self.xi_grid, DEFAULT_NODES))
-        chi_r = np.atleast_1d(switching_index(yrs, self.switch))
-        chi_l = np.atleast_1d(switching_index(yls, self.switch))
-        c2 = _BOOST * chi_l + logfa_r > self._single_mixture(yrs, yls, y0s)
-        c3 = _BOOST * chi_r + logfa_l > self._single_mixture(yls, yrs, -y0s)
-        c4 = logfa_r + logfa_l > self._full_mixture(yrs, yls, y0s)
+        """Conditions 2 to 4 on gate-passing rows; ``y0s`` is already the
+        difference the solver forms as y0_r - y0_l, so y0_l is 0 here."""
+        logfa_r = log_f_a_single(yrs, self.xi_grid, DEFAULT_NODES)
+        logfa_l = log_f_a_single(yls, self.xi_grid, DEFAULT_NODES)
+        chi_r = switching_index(yrs, self.switch)
+        chi_l = switching_index(yls, self.switch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c2 = self._single_denom(yrs, yls, y0s, logfa_r + _BOOST * chi_l) < 1.0
+            c3 = self._single_denom(yls, yrs, -y0s, logfa_l + _BOOST * chi_r) < 1.0
+            lf_r = log_tail_density_multi(yrs, *self.f_atoms[4:])
+            lf_l = log_tail_density_multi(yls, *self.f_atoms[1:4])
+            ms_r = _big_m_star_grid(yrs[:, -1], lf_r, *self.f_atoms[4:])
+            ms_l = _big_m_star_grid(yls[:, -1], lf_l, *self.f_atoms[1:4])
+            term = _pair_term(lf_r, lf_l, ms_r, ms_l, y0s[:, None], 0.0, (logfa_r + logfa_l)[:, None])
+            c4 = _denom_rows(term, self.f_atoms[0]) < 1.0
         return c2 & c3 & c4
 
     def decide(self, y_right, y_left, y0: float) -> bool:
@@ -1052,14 +1047,12 @@ def spot_check(table, pool: IsPool, thetas: list[ThetaFull], fa_nodes: int = DEF
     """Estimated null rejection rate of the stored test at each point."""
     ctx = _ctx_for(pool, table.alpha, table.xi_grid, fa_nodes)
     bits = _table_entry_bits(ctx, table)
-    n, K = pool.n, pool.K
     out = []
     for theta in thetas:
         u = ctx.weight(theta.right, cache=False)
         v = ctx.weight(theta.left, cache=False)
-        c = bits * u[ctx.la] * v[ctx.lb] / (K * n)
-        r = np.bincount(ctx.la, weights=c, minlength=n)
-        out.append(RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, K)))
+        c = bits * u[ctx.la] * v[ctx.lb] / (pool.K * pool.n)
+        out.append(_rp_from_entries(c, ctx.la, pool))
     return out
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rtt.cli
 from rtt.cli import main
 from rtt.solver import smoke_build_config, build_table
-from rtt.table import read_table, write_table
+from rtt.table import TestTable, read_table, write_table
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +166,35 @@ class TestBuildCommand:
         assert rc == 0
         table = read_table(out)
         assert table.k == 4 and table.alpha == 0.05
+
+    def test_size_overrides_reach_the_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_build(config):
+            seen.append(config)
+            return TestTable(
+                k=4, n0=50, alpha=0.05, rho1=0.1, rho_r=0.1,
+                single_atoms=((1.0, 3.0, 0.05, 0.0),),
+                full_atoms=((1.0, 3.0, 0.05, 0.0, 3.0, 0.05, 0.0),),
+                xi_grid=(0.0,),
+            )
+
+        monkeypatch.setattr(rtt.cli, "build_table", fake_build)
+        rc = main([
+            "build", "--out", str(tmp_path / "t.rtt"), "--profile", "smoke",
+            "--n-draws", "7", "--recombine", "3",
+        ])
+        assert rc == 0
+        assert seen == [replace(smoke_build_config(), n_draws=7, recombine=3)]
+
+    @pytest.mark.parametrize("flag", ["--n-draws", "--recombine"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_sizes_rejected(self, tmp_path, monkeypatch, capsys, flag, value):
+        def fake_build(config):
+            raise AssertionError("build_table reached with a non-positive size")
+
+        monkeypatch.setattr(rtt.cli, "build_table", fake_build)
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--out", str(tmp_path / "t.rtt"), "--profile", "smoke", flag, value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err

@@ -226,6 +226,16 @@ class TestConfidenceInterval:
             lo_c, hi_c = confidence_interval(c * w, 0.95, TBL)
             assert_allclose((lo_c, hi_c), (c * lo, c * hi), rtol=1e-7)
 
+    def test_level_within_tolerance_nests_from_matched_table(self):
+        # a level 5e-10 off a table's level picks that table, so the set
+        # nests it with the higher levels and a lone table accepts it too
+        tables = TableSet([gate_only_table(a) for a in (0.05, 0.1)])
+        w = np.random.default_rng(18).standard_t(3, size=50)
+        for source in (tables, tables.tables[0]):
+            want = confidence_interval(w, 0.95, source)
+            assert confidence_interval(w, 0.95 - 5e-10, source) == want
+        assert want != confidence_interval(w, 0.90, tables)
+
     def test_level_must_match_table(self):
         rng = np.random.default_rng(16)
         w = rng.normal(size=50)

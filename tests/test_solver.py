@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rtt.errors import CalibrationError, InvalidArgument
-from rtt.fa import DEFAULT_XI_GRID, log_f_a_single
-from rtt.gev import TailParams
+from rtt.fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
+from rtt.gev import TailParams, log_tail_density_multi
 from rtt.model import ThetaFull, log_joint_density_parts
 from rtt.solver import (
     DEFAULT_LADDER,
@@ -24,6 +25,7 @@ from rtt.solver import (
     _PoolCtx,
     _RpSweep,
     _SingleDenom,
+    _table_entry_bits,
     SolverTuning,
     boundary_left_reps,
     build_proposal,
@@ -43,6 +45,7 @@ from rtt.space import SpaceConfig
 from rtt.table import TestTable, read_table, table_checksum
 
 CFG = SpaceConfig(n0=50, k=4)
+DESK = Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt"
 
 
 def _always(yr, yl, y0):
@@ -269,7 +272,7 @@ class TestEvaluateConditions:
 
 
     def test_chunked_batch_matches_per_row(self):
-        desk = read_table(Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt")
+        desk = read_table(DESK)
         ev = TestEvaluator(desk)
         rng = np.random.default_rng(11)
         yr = np.sort(rng.exponential(size=(300, 4)), axis=1)[:, ::-1] * 0.3
@@ -280,6 +283,57 @@ class TestEvaluateConditions:
         assert 0 < batch.sum() < ev.condition1(yr, yl, y0).sum()
         per_row = [ev.decide(yr[i], yl[i], y0[i]) for i in range(300)]
         assert np.array_equal(batch, per_row)
+
+
+class TestRuntimeAppliesCertifiedTest:
+    def test_decisions_match_solver_bits(self, pool):
+        # the evaluator on the recombined pool entries decides as the solver's
+        # stage-4 bits do, wherever no log-denominator lies within the
+        # float32 tail cache's reach of the threshold
+        table = read_table(DESK)
+        ctx = _ctx_for(pool, table.alpha, table.xi_grid, DEFAULT_NODES)
+        bits = _table_entry_bits(ctx, table) > 0.0
+        singles = [TailParams(*r[1:]) for r in table.single_atoms]
+        s_lam = np.array([r[0] for r in table.single_atoms])
+        pairs = [(TailParams(*r[1:4]), TailParams(*r[4:])) for r in table.full_atoms]
+        f_lam = np.array([r[0] for r in table.full_atoms])
+        with np.errstate(divide="ignore"):
+            log_denoms = np.log([
+                _SingleDenom(ctx, singles).denom(s_lam),
+                _SingleDenom(ctx, singles, swapped=True).denom(s_lam),
+                _PairDenom(ctx, pairs, np.arange(ctx.entries)).denom(f_lam),
+            ])
+        clear = np.all(np.abs(log_denoms) > 1e-4, axis=0)
+        ev = TestEvaluator(table)
+        got = np.concatenate([
+            ev._lr_conditions(
+                pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb]
+            )
+            for la, lb in zip(np.array_split(ctx.la, 32), np.array_split(ctx.lb, 32))
+        ])
+        assert clear.mean() > 0.99
+        assert 0 < bits[clear].sum() < clear.sum()
+        assert np.array_equal(got[clear], bits[clear])
+
+    def test_atom_without_density_changes_nothing(self):
+        # a Gumbel tail so far out that its log density is -inf and its M*
+        # overflows at every row: the atom must contribute exactly 0
+        desk = read_table(DESK)
+        far = (800.0, 1.0, 0.0)
+        padded = replace(
+            desk,
+            single_atoms=desk.single_atoms + ((1.0, *far),),
+            full_atoms=desk.full_atoms + ((1.0, *far, *far),),
+        )
+        rng = np.random.default_rng(11)
+        yr = np.sort(rng.exponential(size=(300, 4)), axis=1)[:, ::-1] * 0.3
+        yl = np.sort(rng.exponential(size=(300, 4)), axis=1)[:, ::-1] * 0.1
+        y0 = rng.standard_normal(300) * 3.0
+        lf = log_tail_density_multi(np.vstack([yr, yl]), *np.array([far]).T)
+        assert np.all(lf == -np.inf)
+        base = TestEvaluator(desk).decide_batch(yr, yl, y0)
+        assert base.sum() > 0
+        assert np.array_equal(TestEvaluator(padded).decide_batch(yr, yl, y0), base)
 
 
 class TestNeymanPearsonOracle:
