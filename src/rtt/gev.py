@@ -28,6 +28,26 @@ XI_ZERO_TOL = 1e-6
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Arrays smaller than this are summed by numpy: below it, one reduction call
+# costs less than the per-column calls of ``_row_sum``.
+_ROW_SUM_MIN_SIZE = 1024
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a float array, bit for bit, by column adds.
+
+    numpy sums a row shorter than 8 left to right starting from 0.0, so the
+    same adds in the same order give the same bits; a long row is summed
+    pairwise, and a small array is cheaper in one reduction call.
+    """
+    k = a.shape[-1]
+    if k >= 8 or a.size < _ROW_SUM_MIN_SIZE:
+        return a.sum(axis=-1)
+    out = 0.0 + a[..., 0]
+    for j in range(1, k):
+        out += a[..., j]
+    return out
+
 
 @dataclass(frozen=True)
 class TailParams:
@@ -63,7 +83,10 @@ def sample_joint_tail(k: int, xi: float, rng: np.random.Generator, size: int | N
     if k < 1:
         raise InvalidArgument("tail block size k must be at least 1")
     shape = (k,) if size is None else (int(size), k)
-    gamma = np.cumsum(rng.standard_exponential(shape), axis=-1)
+    # partial sums in place, column by column: the sequential adds of cumsum
+    gamma = rng.standard_exponential(shape)
+    for j in range(1, k):
+        gamma[..., j] += gamma[..., j - 1]
     return _gamma_to_x(gamma, xi)
 
 
@@ -119,7 +142,7 @@ def log_tail_density(y, theta: TailParams):
     xi = theta.xi
     if abs(xi) < XI_ZERO_TOL:
         with np.errstate(over="ignore"):
-            val = -k * math.log(theta.eta) - np.exp(-x[..., -1]) - x.sum(axis=-1)
+            val = -k * math.log(theta.eta) - np.exp(-x[..., -1]) - _row_sum(x)
         ok = ordered
     else:
         t = 1.0 + xi * x
@@ -129,7 +152,7 @@ def log_tail_density(y, theta: TailParams):
             val = (
                 -k * math.log(theta.eta)
                 - np.exp(-logt[..., -1] / xi)
-                - (1.0 + 1.0 / xi) * logt.sum(axis=-1)
+                - (1.0 + 1.0 / xi) * _row_sum(logt)
             )
     out[ok] = val[ok]
     return float(out[0]) if scalar else out
@@ -159,7 +182,7 @@ def log_tail_density_multi(y: np.ndarray, kappa: np.ndarray, eta: np.ndarray, xi
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         logt = np.log(np.where(t > 0.0, t, 1.0))
         safe_xi = np.where(near0, 1.0, xi)[None, :]
-        gen = -np.exp(-logt[..., -1] / safe_xi) - (1.0 + 1.0 / safe_xi) * logt.sum(axis=-1)
-        gmb = -np.exp(-x[..., -1]) - x.sum(axis=-1)
+        gen = -np.exp(-logt[..., -1] / safe_xi) - (1.0 + 1.0 / safe_xi) * _row_sum(logt)
+        gmb = -np.exp(-x[..., -1]) - _row_sum(x)
     val = np.where(near0[None, :], gmb, gen) - k * np.log(eta)[None, :]
     return np.where(ok, val, -np.inf)

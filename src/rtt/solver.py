@@ -45,7 +45,14 @@ from .errors import (
     NonconvergenceError,
 )
 from .fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
-from .gev import TailParams, XI_ZERO_TOL, log_tail_density, log_tail_density_multi, sample_joint_tail
+from .gev import (
+    TailParams,
+    XI_ZERO_TOL,
+    _row_sum,
+    log_tail_density,
+    log_tail_density_multi,
+    sample_joint_tail,
+)
 from .model import (
     ThetaFull,
     _m_star_raw,
@@ -190,9 +197,12 @@ def t_statistic(y_right, y_left, y0):
     """Full-sample analogue statistic of the approximate model."""
     yr = np.asarray(y_right, dtype=float)
     yl = np.asarray(y_left, dtype=float)
-    num = np.asarray(y0, dtype=float) + yr.sum(axis=-1) - yl.sum(axis=-1)
-    den = np.sqrt(1.0 + (yr * yr).sum(axis=-1) + (yl * yl).sum(axis=-1))
-    return num / den
+    return _t_of_sums(y0, _row_sum(yr), _row_sum(yl), _row_sum(yr * yr), _row_sum(yl * yl))
+
+
+def _t_of_sums(y0, s_r, s_l, q_r, q_l):
+    """The statistic from each tail's row sums s and sums of squares q."""
+    return (np.asarray(y0, dtype=float) + s_r - s_l) / np.sqrt(1.0 + q_r + q_l)
 
 
 def blended_cv(s2sum, cv_z: float, cv_t: float):
@@ -206,8 +216,9 @@ def gate_values(y_right, y_left, y0, cv_z: float, cv_t: float):
     (condition 1), which holds where |t| > cv."""
     yr = np.atleast_2d(np.asarray(y_right, dtype=float))
     yl = np.atleast_2d(np.asarray(y_left, dtype=float))
-    s2sum = (yr * yr).sum(axis=1) + (yl * yl).sum(axis=1)
-    return t_statistic(yr, yl, y0), blended_cv(s2sum, cv_z, cv_t)
+    q_r, q_l = _row_sum(yr * yr), _row_sum(yl * yl)
+    t = _t_of_sums(y0, _row_sum(yr), _row_sum(yl), q_r, q_l)
+    return t, blended_cv(q_r + q_l, cv_z, cv_t)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +280,19 @@ class _PoolCtx:
     """Precomputed per-draw statistics and the gate-passing pair index."""
 
     def __init__(self, pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES, all_pairs: bool = False):
-        self.pool = pool
+        # the pool's context cache holds this object, so it keeps the pool's
+        # arrays and not the pool: a reference back would form a cycle that
+        # pins the pool and every cache until a full garbage collection
+        self.y_tail, self.y0e, self.logdens = pool.y_tail, pool.y0e, pool.proposal_logdens
+        self.n, self.K = pool.n, pool.K
         self.all_pairs = all_pairs
         self.xi_grid = tuple(xi_grid)
         self.fa_nodes = fa_nodes
-        y = pool.y_tail
-        self.S1 = y.sum(axis=1)
-        self.S2 = (y * y).sum(axis=1)
-        self.tnum = pool.y0e + self.S1
+        self.S1 = _row_sum(self.y_tail)
+        self.S2 = _row_sum(self.y_tail * self.y_tail)
+        self.tnum = self.y0e + self.S1
         self.cv_z, self.cv_t = critical_values(alpha)
         self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._weights: dict[tuple, np.ndarray] = {}
         self._logfa = None
         self._mask_built = False
         self._chi = None
@@ -287,8 +300,7 @@ class _PoolCtx:
 
     # -- condition-1 entries -------------------------------------------------
     def _build_mask(self):
-        pool = self.pool
-        n, K = pool.n, pool.K
+        n, K = self.n, self.K
         idx = np.arange(n, dtype=np.int64)
         las, lbs = [], []
         for j in range(1, K + 1):
@@ -315,13 +327,13 @@ class _PoolCtx:
     @property
     def logfa(self) -> np.ndarray:
         if self._logfa is None:
-            self._logfa = log_f_a_single(self.pool.y_tail, self.xi_grid, self.fa_nodes)
+            self._logfa = log_f_a_single(self.y_tail, self.xi_grid, self.fa_nodes)
         return self._logfa
 
     def set_switch(self, switch: SwitchConstants):
         if self._switch != switch:
             self._switch = switch
-            self._chi = switching_index(self.pool.y_tail, switch)
+            self._chi = switching_index(self.y_tail, switch)
 
     @property
     def chi(self) -> np.ndarray:
@@ -335,11 +347,11 @@ class _PoolCtx:
         key = t.astuple()
         got = self._tails.get(key)
         if got is None:
-            lf = log_tail_density(self.pool.y_tail, t)
+            lf = log_tail_density(self.y_tail, t)
             ok = np.isfinite(lf)
-            ms = np.zeros(self.pool.n)
+            ms = np.zeros(self.n)
             if np.any(ok):
-                ms[ok] = big_m_star(self.pool.y_tail[ok], t)
+                ms[ok] = big_m_star(self.y_tail[ok], t)
             got = (lf.astype(np.float32), ms.astype(np.float32))
             if cache:
                 self._tails[key] = got
@@ -347,18 +359,15 @@ class _PoolCtx:
 
     def log_extended(self, t: TailParams, cache: bool = True) -> np.ndarray:
         lf, ms = self.tail_arrays(t, cache=cache)
-        u = self.pool.y0e + ms.astype(float)
+        u = self.y0e + ms.astype(float)
         return lf.astype(float) - u * u - _LOG_SQRT_PI
 
     def weight(self, t: TailParams, cache: bool = True) -> np.ndarray:
-        key = t.astuple()
-        got = self._weights.get(key)
-        if got is None:
-            with np.errstate(over="ignore"):
-                got = np.exp(self.log_extended(t, cache=cache) - self.pool.proposal_logdens)
-            if cache:
-                self._weights[key] = got
-        return got
+        """Float64 importance weight of every draw under t, not kept: the
+        sweeps of one stage keep theirs, so a stage's weights are freed
+        when it ends.  ``cache`` keeps t's tail arrays."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_extended(t, cache=cache) - self.logdens)
 
 
 def _ctx_for(pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES) -> _PoolCtx:
@@ -382,11 +391,11 @@ def _block_se_from_per_draw(r: np.ndarray, K: int) -> float:
     return float(s.std(ddof=1) * math.sqrt(nb) * scale)
 
 
-def _rp_from_entries(c: np.ndarray, la: np.ndarray, pool: IsPool) -> RpEstimate:
+def _rp_from_entries(c: np.ndarray, la: np.ndarray, ctx: _PoolCtx) -> RpEstimate:
     """RP as the sum of per-entry contributions c, with the batch-means se
     of their sums per first draw ``la``."""
-    r = np.bincount(la, weights=c, minlength=pool.n)
-    return RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, pool.K))
+    r = np.bincount(la, weights=c, minlength=ctx.n)
+    return RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, ctx.K))
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +662,7 @@ class _SingleDenom:
         self.atoms = atoms
         self.heavy = heavy
         self.shift = ctx.logfa[heavy] + _BOOST * ctx.chi[thin]
-        self.base = ctx.pool.y0e[heavy] - ctx.tnum[thin]
+        self.base = ctx.y0e[heavy] - ctx.tnum[thin]
         self.var = 1.0 + ctx.S2[thin]
         self.log_var = np.log(self.var)
 
@@ -682,8 +691,8 @@ class _PairDenom:
         self.la = ctx.la[sub]
         self.lb = ctx.lb[sub]
         self.shift = ctx.logfa[self.la] + ctx.logfa[self.lb]
-        self.y0e_la = ctx.pool.y0e[self.la]
-        self.y0e_lb = ctx.pool.y0e[self.lb]
+        self.y0e_la = ctx.y0e[self.la]
+        self.y0e_lb = ctx.y0e[self.lb]
 
     def denom(self, lam: np.ndarray) -> np.ndarray:
         ctx, la, lb = self.ctx, self.la, self.lb
@@ -709,12 +718,13 @@ class _RpSweep:
         self.checks = checks
         self.la = ctx.la if sub is None else ctx.la[sub]
         self.lb = ctx.lb if sub is None else ctx.lb[sub]
-        self.scale = 1.0 / (ctx.pool.K * ctx.pool.n)
+        self.scale = 1.0 / (ctx.K * ctx.n)
         uniq_r = {th.right.astuple(): th.right for th in checks}
         uniq_l = {th.left.astuple(): th.left for th in checks}
         budget = (len(uniq_r) + len(uniq_l)) * self.la.size * 4
         self._cache_gathers = budget <= _GATHER_CACHE_BUDGET
         self._gathers: dict[tuple, np.ndarray] = {}
+        self._weights: dict[tuple, np.ndarray] = {}
 
     def _at(self, t: TailParams, right: bool) -> np.ndarray:
         """Float32 weights of t at each entry's right (``la``) or left
@@ -722,7 +732,10 @@ class _RpSweep:
         key = (right, t.astuple())
         got = self._gathers.get(key)
         if got is None:
-            got = self.ctx.weight(t)[self.la if right else self.lb].astype(np.float32)
+            w = self._weights.get(key[1])
+            if w is None:
+                w = self._weights[key[1]] = self.ctx.weight(t)
+            got = w[self.la if right else self.lb].astype(np.float32)
             if self._cache_gathers:
                 self._gathers[key] = got
         return got
@@ -737,7 +750,7 @@ class _RpSweep:
     def rp_se(self, bits: np.ndarray, i: int) -> RpEstimate:
         th = self.checks[i]
         c = bits * self._at(th.right, True).astype(float) * self._at(th.left, False).astype(float) * self.scale
-        return _rp_from_entries(c, self.la, self.ctx.pool)
+        return _rp_from_entries(c, self.la, self.ctx)
 
 
 def _iterate_lfd(
@@ -752,27 +765,33 @@ def _iterate_lfd(
     """Multiplicative-weights fixed point: binding checks pushed to level alpha.
 
     ``denom(lam)`` gives the shifted mixture denominator at every sweep entry
-    for atom weights ``lam``; the test rejects where it is below one.  Returns
-    the converged weights; raises NonconvergenceError at the iteration cap.
+    for atom weights ``lam``; it must be linear in ``lam``, and the test
+    rejects where it is below one.  The uniform start is first scaled by a
+    global factor e^s, bisected over s in [-30, 30] for ``prescale_iter``
+    steps so that the worst check starts near the level; by linearity every
+    step compares d0 * e^s with one, where d0 is the denominator of the
+    uniform start, computed once.  Returns the converged weights; raises
+    NonconvergenceError at the iteration cap.
     """
     lam = np.full(n_atoms, 1.0 / n_atoms)
 
-    def bits_of(scale_lam):
-        return (denom(scale_lam) < 1.0).astype(np.float32)
+    def bits_of(d):
+        return (d < 1.0).astype(np.float32)
 
-    # bracket a global scale so the worst check starts near the level
+    d0 = denom(lam)
     lo, hi = -30.0, 30.0
     for _ in range(tuning.prescale_iter):
         mid = 0.5 * (lo + hi)
-        worst = sweep.rp(bits_of(lam * math.exp(mid))).max(initial=0.0)
+        worst = sweep.rp(bits_of(d0 * math.exp(mid))).max(initial=0.0)
         if worst > alpha:
             lo = mid
         else:
             hi = mid
+    del d0  # one float per entry; the iteration does not need it
     lam *= math.exp(hi)
 
     for it in range(1, tuning.max_iter + 1):
-        bits = bits_of(lam)
+        bits = bits_of(denom(lam))
         rp = sweep.rp(bits)
         i_worst = int(np.argmax(rp))
         est = sweep.rp_se(bits, i_worst)
@@ -799,7 +818,7 @@ def _iterate_lfd(
         step = np.where(raw >= 0.0, raw, 0.25 * raw)
         step = np.clip(step, -0.5 * tuning.max_log_step, tuning.max_log_step)
         lam *= np.exp(step)
-    rp = sweep.rp(bits_of(lam))
+    rp = sweep.rp(bits_of(denom(lam)))
     order = np.argsort(rp)[::-1][:5]
     raise NonconvergenceError(
         f"stage {stage} hit the iteration cap with max RP {rp.max():.4f} > {alpha}",
@@ -983,8 +1002,8 @@ class TestEvaluator:
     def _single_denom(self, heavy: np.ndarray, thin: np.ndarray, y0: np.ndarray, shift: np.ndarray) -> np.ndarray:
         lf = log_tail_density_multi(heavy, *self.s_atoms[1:])
         ms = _big_m_star_grid(heavy[:, -1], lf, *self.s_atoms[1:])
-        var = 1.0 + (thin * thin).sum(axis=1)
-        base = y0 - thin.sum(axis=1)
+        var = 1.0 + _row_sum(thin * thin)
+        base = y0 - _row_sum(thin)
         term = _single_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
         return _denom_rows(term, self.s_atoms[0])
 
@@ -1006,21 +1025,26 @@ class TestEvaluator:
 
     def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray) -> np.ndarray:
         """Conditions 2 to 4 on gate-passing rows; ``y0s`` is already the
-        difference the solver forms as y0_r - y0_l, so y0_l is 0 here."""
+        difference the solver forms as y0_r - y0_l, so y0_l is 0 here.
+        Condition 4 is evaluated only where 2 and 3 hold, as in the solver."""
         logfa_r = log_f_a_single(yrs, self.xi_grid, DEFAULT_NODES)
         logfa_l = log_f_a_single(yls, self.xi_grid, DEFAULT_NODES)
         chi_r = switching_index(yrs, self.switch)
         chi_l = switching_index(yls, self.switch)
         with np.errstate(over="ignore", invalid="ignore"):
-            c2 = self._single_denom(yrs, yls, y0s, logfa_r + _BOOST * chi_l) < 1.0
-            c3 = self._single_denom(yls, yrs, -y0s, logfa_l + _BOOST * chi_r) < 1.0
-            lf_r = log_tail_density_multi(yrs, *self.f_atoms[4:])
-            lf_l = log_tail_density_multi(yls, *self.f_atoms[1:4])
-            ms_r = _big_m_star_grid(yrs[:, -1], lf_r, *self.f_atoms[4:])
-            ms_l = _big_m_star_grid(yls[:, -1], lf_l, *self.f_atoms[1:4])
-            term = _pair_term(lf_r, lf_l, ms_r, ms_l, y0s[:, None], 0.0, (logfa_r + logfa_l)[:, None])
-            c4 = _denom_rows(term, self.f_atoms[0]) < 1.0
-        return c2 & c3 & c4
+            out = self._single_denom(yrs, yls, y0s, logfa_r + _BOOST * chi_l) < 1.0
+            out &= self._single_denom(yls, yrs, -y0s, logfa_l + _BOOST * chi_r) < 1.0
+            sub = np.flatnonzero(out)
+            if sub.size:
+                yr, yl = yrs[sub], yls[sub]
+                lf_r = log_tail_density_multi(yr, *self.f_atoms[4:])
+                lf_l = log_tail_density_multi(yl, *self.f_atoms[1:4])
+                ms_r = _big_m_star_grid(yr[:, -1], lf_r, *self.f_atoms[4:])
+                ms_l = _big_m_star_grid(yl[:, -1], lf_l, *self.f_atoms[1:4])
+                shift = (logfa_r[sub] + logfa_l[sub])[:, None]
+                term = _pair_term(lf_r, lf_l, ms_r, ms_l, y0s[sub, None], 0.0, shift)
+                out[sub] = _denom_rows(term, self.f_atoms[0]) < 1.0
+        return out
 
     def decide(self, y_right, y_left, y0: float) -> bool:
         return bool(self.decide_batch(y_right, y_left, [y0])[0])
@@ -1044,15 +1068,32 @@ def _table_entry_bits(ctx: _PoolCtx, table) -> np.ndarray:
 
 
 def spot_check(table, pool: IsPool, thetas: list[ThetaFull], fa_nodes: int = DEFAULT_NODES) -> list[RpEstimate]:
-    """Estimated null rejection rate of the stored test at each point."""
+    """Estimated null rejection rate of the stored test at each point.
+
+    Points share tails, so each distinct tail's weights are computed once,
+    uncached, and dropped after the last point that uses them."""
     ctx = _ctx_for(pool, table.alpha, table.xi_grid, fa_nodes)
     bits = _table_entry_bits(ctx, table)
+    last_use = {}
+    for i, theta in enumerate(thetas):
+        last_use[theta.right.astuple()] = last_use[theta.left.astuple()] = i
+    live: dict[tuple, np.ndarray] = {}
+
+    def weight(t: TailParams) -> np.ndarray:
+        key = t.astuple()
+        if key not in live:
+            live[key] = ctx.weight(t, cache=False)
+        return live[key]
+
     out = []
-    for theta in thetas:
-        u = ctx.weight(theta.right, cache=False)
-        v = ctx.weight(theta.left, cache=False)
-        c = bits * u[ctx.la] * v[ctx.lb] / (pool.K * pool.n)
-        out.append(_rp_from_entries(c, ctx.la, pool))
+    for i, theta in enumerate(thetas):
+        u = weight(theta.right)
+        v = weight(theta.left)
+        c = bits * u[ctx.la] * v[ctx.lb] / (ctx.K * ctx.n)
+        out.append(_rp_from_entries(c, ctx.la, ctx))
+        for key in (theta.right.astuple(), theta.left.astuple()):
+            if last_use[key] == i:
+                live.pop(key, None)
     return out
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# One atom row per "%"-format call; "%.17g" % x spells every double, and the
+# specials, as format(x, ".17g") does.
+_S_ROW = "S " + " ".join(["%.17g"] * 4)
+_F_ROW = "F " + " ".join(["%.17g"] * 7)
+
+
 @dataclass(frozen=True)
 class TestTable:
     """A fully determined test: atoms, switching constants, and provenance."""
@@ -79,6 +85,13 @@ class TestTable:
         # evaluator cache hashes its table on every lookup.
         return self._hash
 
+    @cached_property
+    def _digest(self) -> str:
+        # Memoized like the hash: the table is frozen, and reading a file
+        # computes the digest that callers then ask for again.
+        payload = "\n".join(_body_lines(self)).encode("utf-8")
+        return hashlib.sha256(payload).hexdigest()
+
     def canonical(self) -> "TestTable":
         """Atoms sorted lexicographically on parameters (weight last)."""
         skey = lambda r: (r[1:], r[0])
@@ -102,10 +115,8 @@ def _body_lines(t: TestTable) -> list[str]:
         f"SWITCH {_fmt(t.rho1)} {_fmt(t.rho_r)}",
         "XIGRID " + " ".join(_fmt(x) for x in t.xi_grid),
     ]
-    for row in t.single_atoms:
-        lines.append("S " + " ".join(_fmt(v) for v in row))
-    for row in t.full_atoms:
-        lines.append("F " + " ".join(_fmt(v) for v in row))
+    lines += [_S_ROW % tuple(row) for row in t.single_atoms]
+    lines += [_F_ROW % tuple(row) for row in t.full_atoms]
     for key, value in t.build_metadata:
         lines.append(f"META {key}={value}")
     return lines
@@ -113,8 +124,7 @@ def _body_lines(t: TestTable) -> list[str]:
 
 def table_checksum(t: TestTable) -> str:
     """SHA-256 over the canonical serialization (excluding the digest line)."""
-    payload = "\n".join(_body_lines(t)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return t._digest
 
 
 def write_table(t: TestTable, destination) -> None:
@@ -131,7 +141,7 @@ def _parse_floats(tokens, n, lineno, what):
     if len(tokens) != n:
         raise TableFormatError(f"line {lineno}: {what} expects {n} fields, got {len(tokens)}")
     try:
-        return tuple(float(tok) for tok in tokens)
+        return tuple(map(float, tokens))
     except ValueError as exc:
         raise TableFormatError(f"line {lineno}: {what}: {exc}") from None
 

@@ -7,6 +7,9 @@ from numpy.testing import assert_allclose
 from rtt.errors import InvalidArgument, MomentUndefined
 from rtt.gev import (
     TailParams,
+    _ROW_SUM_MIN_SIZE,
+    _gamma_to_x,
+    _row_sum,
     log_tail_density,
     log_tail_density_multi,
     order_stat_moment,
@@ -48,6 +51,42 @@ class TestSampling:
     def test_zero_block_size_rejected(self):
         with pytest.raises(InvalidArgument):
             sample_joint_tail(0, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.4])
+    @pytest.mark.parametrize("size", [None, 3000])
+    def test_partial_sums_match_cumsum(self, k, xi, size):
+        got = sample_joint_tail(k, xi, np.random.default_rng(k), size=size)
+        shape = (k,) if size is None else (size, k)
+        gamma = np.cumsum(np.random.default_rng(k).standard_exponential(shape), axis=-1)
+        assert np.array_equal(got, _gamma_to_x(gamma, xi))
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bit_identical_to_numpy_sum(self, k, dtype):
+        rng = np.random.default_rng(k)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        # 2-D and 3-D on both sides of the small-array fallback, a strided
+        # view, rows of negative zeros, and specials mixed into wide ranges
+        cases = []
+        with np.errstate(over="ignore"):
+            for shape in [(2, k), (3000, k), (3, 5, k), (40, 30, k)]:
+                a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)).astype(dtype)
+                b = a.copy()
+                hit = rng.random(shape) < 0.3
+                b[hit] = rng.choice(specials, hit.sum())
+                cases += [a, b]
+        cases.append(rng.standard_normal((3000, 2 * k)).astype(dtype)[:, ::2])
+        cases.append(np.full((3000, k), -0.0, dtype=dtype))
+        assert min(c.size for c in cases) < _ROW_SUM_MIN_SIZE <= max(c.size for c in cases)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in cases:
+                got, want = _row_sum(a), a.sum(axis=-1)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestMoments:

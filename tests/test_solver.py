@@ -1,3 +1,4 @@
+import gc
 import logging
 import math
 import re
@@ -15,6 +16,7 @@ from rtt.model import ThetaFull, log_joint_density_parts
 from rtt.solver import (
     DEFAULT_LADDER,
     IsPool,
+    RpEstimate,
     SwitchConstants,
     TestEvaluator,
     _BOOST,
@@ -23,6 +25,7 @@ from rtt.solver import (
     _iterate_lfd,
     _PairDenom,
     _PoolCtx,
+    _rp_from_entries,
     _RpSweep,
     _SingleDenom,
     _table_entry_bits,
@@ -37,11 +40,12 @@ from rtt.solver import (
     simulate_rp,
     solve_single_tail,
     smoke_build_config,
+    spot_check,
     build_table,
     switching_index,
     t_statistic,
 )
-from rtt.space import SpaceConfig
+from rtt.space import SpaceConfig, boundary_grid, sample_interior
 from rtt.table import TestTable, read_table, table_checksum
 
 CFG = SpaceConfig(n0=50, k=4)
@@ -370,6 +374,72 @@ class TestNeymanPearsonOracle:
         assert abs(direct.rp - alpha) < 0.015
 
 
+class _BlockSweep:
+    """Stand-in sweep: check i rejects at the share of its block of entries
+    where the test rejects."""
+
+    def __init__(self, n_checks: int, n_entries: int):
+        th = TailParams(2.0, 0.1, 0.1)
+        self.checks = [ThetaFull(th, th)] * n_checks
+        self.blocks = np.array_split(np.arange(n_entries), n_checks)
+
+    def rp(self, bits):
+        return np.array([bits[b].mean() for b in self.blocks])
+
+    def rp_se(self, bits, i):
+        p = float(bits[self.blocks[i]].mean())
+        return RpEstimate(rp=p, se=math.sqrt(p * (1.0 - p) / self.blocks[i].size))
+
+
+class TestPrescale:
+    def test_one_denominator_pass_and_same_bracket(self, caplog):
+        # a linear denominator: atom j adds lam_j * base[j] at every entry
+        rng = np.random.default_rng(4)
+        base = rng.lognormal(0.0, 3.0, size=(3, 6000))
+        calls = []
+
+        def denom(lam):
+            calls.append(lam.copy())
+            return lam @ base
+
+        alpha, tuning = 0.05, SolverTuning(max_iter=60, prescale_iter=24)
+        sweep = _BlockSweep(3, base.shape[1])
+        with caplog.at_level(logging.INFO, logger="rtt.solver"):
+            _iterate_lfd(2, denom, sweep, np.arange(3), alpha, tuning, 3)
+        iterations = sum("lfd stage=2 iter=" in r.getMessage() for r in caplog.records)
+        assert len(calls) == 1 + iterations
+        uniform = np.full(3, 1.0 / 3)
+        assert np.array_equal(calls[0], uniform)
+        # the bracket of the reference bisection, one denominator per step
+        lo, hi = -30.0, 30.0
+        for _ in range(tuning.prescale_iter):
+            mid = 0.5 * (lo + hi)
+            bits = (uniform * math.exp(mid) @ base < 1.0).astype(np.float32)
+            if sweep.rp(bits).max() > alpha:
+                lo = mid
+            else:
+                hi = mid
+        assert np.array_equal(calls[1], uniform * math.exp(hi))
+
+
+class TestSpotCheck:
+    def test_matches_per_point_reference(self, pool):
+        table = read_table(DESK)
+        points = boundary_grid(CFG, 2) + sample_interior(CFG, 10, np.random.default_rng(6))
+        tails = {t.astuple() for th in points for t in (th.left, th.right)}
+        assert len(tails) < 2 * len(points)
+        got = spot_check(table, pool, points)
+        ctx = _ctx_for(pool, table.alpha, table.xi_grid, DEFAULT_NODES)
+        bits = _table_entry_bits(ctx, table)
+        want = []
+        for th in points:
+            u = ctx.weight(th.right, cache=False)
+            v = ctx.weight(th.left, cache=False)
+            c = bits * u[ctx.la] * v[ctx.lb] / (pool.K * pool.n)
+            want.append(_rp_from_entries(c, ctx.la, ctx))
+        assert got == want
+
+
 class TestSolveSingleTail:
     def test_smoke_solve_properties(self, pool, caplog):
         sw = SwitchConstants(0.1, 0.1)
@@ -426,6 +496,23 @@ SMOKE_SEED3_CHECKSUM = "13229896ea3cb090b2abd9fa3c2235c9480d88ac7ffe58fd876755e8
 
 
 class TestSmokeBuild:
+    def test_build_leaves_no_pool_context_behind(self):
+        # with the cyclic collector off, a context that outlives the build is
+        # held by a reference cycle (the pool caches its context)
+        config = smoke_build_config(
+            n_draws=4_000, n_xi=3, n_kappa=2, n_eta=2, proposal_per_cell=3,
+            max_pairs=20, spot_boundary_resolution=2, spot_interior=5,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            before = {id(o) for o in gc.get_objects() if isinstance(o, _PoolCtx)}
+            build_table(config)
+            left = [o for o in gc.get_objects() if isinstance(o, _PoolCtx) and id(o) not in before]
+        finally:
+            gc.enable()
+        assert not left
+
     def test_build_and_metadata(self):
         table = build_table(smoke_build_config(seed=3))
         assert table_checksum(table) == SMOKE_SEED3_CHECKSUM
