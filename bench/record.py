@@ -13,9 +13,13 @@ the base first when i is even and the head first when it is odd, so that a
 slow spell of the machine falls on both sides.  Only alternating pairs give
 usable comparisons on a machine whose CPU changes speed for seconds at a
 time.  Each side also makes one traced run (``--trace 1``) for the
-per-layer figures, and computes the benchmark build's and the smoke seed-3
-build's checksums; ``--desk`` adds one ``perfbench/desk_repro.py`` rebuild
-per side, with its time, stage split and peak memory.
+per-layer figures, and computes the checksums of the benchmark build, the
+smoke seed-3 build and the smoke seed-1 build at alpha 0.20; ``--desk`` adds
+one ``perfbench/desk_repro.py`` rebuild per side, with its time, stage split
+and peak memory.  Each side also decides a fixed corpus with each of
+``perfbench/data``'s tables and records a digest of the decisions: 60,060
+samples of n = 50, 8,580 from each of the seven populations, each shifted by
+a N(0, 0.35^2) mean, drawn from seed 77 and standardized with k = 4.
 
 The record keeps, per workload and side, the median, quartiles and
 IQR/median of ``p90_ms``, ``peak_rss_mb`` and ``setup_s`` with every run's
@@ -55,7 +59,36 @@ from rtt.table import table_checksum
 print(json.dumps({
     "build": table_checksum(build_table(W.build_config())),
     "smoke_seed3": table_checksum(build_table(smoke_build_config(seed=3))),
+    "smoke_seed1_a20": table_checksum(build_table(smoke_build_config(seed=1, alpha=0.2))),
 }))
+"""
+
+DECISIONS_SNIPPET = """
+import hashlib, json, sys
+sys.path[:0] = ["src", "perfbench"]
+import bench_env
+bench_env.prepare()
+import numpy as np
+import workloads as W
+from rtt.inference import summarize, to_ystar
+from rtt.populations import make_population, population_names
+from rtt.solver import TestEvaluator
+rng = np.random.default_rng(77)
+rows = []
+for name in population_names():
+    pop = make_population(name)
+    for _ in range(8580):
+        shift = rng.normal(0.0, 0.35)
+        y = to_ystar(summarize(pop.draw(rng, 50) + shift, 4, 0.0))
+        rows.append((y.y_right, y.y_left, y.y0))
+yr, yl, y0 = (np.array(c) for c in zip(*rows))
+out = {}
+for key, table in W.load_tables().items():
+    ev = TestEvaluator(table)
+    bits = ev.decide_batch(yr, yl, y0)
+    out[key] = {"rows": int(bits.size), "gate": int(ev.condition1(yr, yl, y0).sum()),
+                "rejected": int(bits.sum()), "sha256": hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()}
+print(json.dumps(out))
 """
 
 
@@ -209,6 +242,11 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
         side: json.loads(run([sys.executable, "-c", CHECKSUM_SNIPPET], trees[side]).splitlines()[-1])
         for side in SIDES
     }
+    record["decisions"] = {
+        side: json.loads(run([sys.executable, "-c", DECISIONS_SNIPPET], trees[side]).splitlines()[-1])
+        for side in SIDES
+    }
+    record["decisions"]["identical"] = record["decisions"]["base"] == record["decisions"]["head"]
     if args.desk:
         record["desk"] = {side: desk(trees[side], scratch, side) for side in SIDES}
     if "desk" in record:

@@ -19,6 +19,8 @@ nodes and log-Jacobian, because the peak scale (k-1)/S does not depend on
 xi; negative shapes each have their own upper limit rmax.  The log-sum-exp
 reductions are done by a local helper in scipy's arithmetic, so the bits
 do not depend on the installed scipy's ``logsumexp``.
+A row's quadrature sums run over its own nodes and its shape average adds
+the shapes in grid order, so a one-row call and any batch give it equal bits.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .gev import XI_ZERO_TOL
 DEFAULT_XI_GRID: tuple[float, ...] = tuple(np.linspace(-0.5, 0.5, 21))
 DEFAULT_NODES = 40
 
-# Rows per shape-averaging block; the quadrature runs on _CHUNK // n_shapes
-# rows at a time, so no temporary exceeds _CHUNK * (k-1) * nodes values.
+# The quadrature runs on _CHUNK // n_shapes rows at a time, so no temporary
+# exceeds _CHUNK * (k-1) * nodes values.
 _CHUNK = 4096
 
 
@@ -47,20 +49,25 @@ def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a.sum(axis)``, but row by row along axis 0 for every width: numpy
+    sums a one-column array pairwise and only wider ones row by row."""
+    return np.cumsum(a, axis=0)[-1] if axis == 0 else a.sum(axis=axis)
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along ``axis`` in scipy.special.logsumexp's arithmetic.
 
     The m tied maxima are kept out of the sum (Blanchard, Higham & Higham
     2021): log1p(s/m) + log(m) + a_max, falling back to the direct
-    log(sum(exp(a))) wherever that is not finite.  numpy's summation order
-    follows the memory layout, so equal bits also need equal array shapes.
+    log(sum(exp(a))) wherever that is not finite.  Sums follow ``_sum``.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.exp(a).sum(axis=axis))
+        direct = np.log(_sum(np.exp(a), axis))
         a_max = a.max(axis=axis, keepdims=True)
         at_max = a == a_max
         m = at_max.sum(axis=axis, dtype=float)
-        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis)
+        s = _sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis)
         s = np.where(s == 0.0, s, s / m)
         out = np.log1p(s) + np.log(m) + np.squeeze(a_max, axis=axis)
     return np.where(np.isfinite(out), out, direct)
@@ -103,34 +110,29 @@ def log_f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
     pos_map = u / (1.0 - u)
     pos_jac = 2.0 * np.log1p(-u)
     step = max(1, _CHUNK // xi_grid.size)
-    m = ya.shape[0]
-    out = np.empty(m)
-    for lo in range(0, m, _CHUNK):
-        block = ya[lo : lo + _CHUNK]
-        d = block[:, :-1] - block[:, -1:]
-        s = d.sum(axis=1)
-        vals = np.full((xi_grid.size, block.shape[0]), np.inf)
-        for a in range(0, block.shape[0], step):
-            live = s[a : a + step] > 0.0
-            if not np.any(live):
-                continue
-            dl = d[a : a + step][live]
-            sl = s[a : a + step][live]
-            part = np.empty((xi_grid.size, sl.size))
-            part[zero] = 2.0 * gammaln(k) - k * np.log(sl)
-            if xi_pos.size:
-                rpeak = (k - 1.0) / sl
-                r = rpeak[:, None] * pos_map[None, :]
-                logjac = np.log(rpeak)[:, None] + logw[None, :] - pos_jac[None, :]
-                part[pos] = _log_fa_shapes(dl, xi_pos, r[None], logjac[None])
-            if xi_neg.size:
-                rmax = -1.0 / (xi_neg[:, None] * dl[None, :, 0])
-                r = rmax[:, :, None] * u[None, None, :]
-                logjac = np.log(rmax)[:, :, None] + logw[None, None, :]
-                part[neg] = _log_fa_shapes(dl, xi_neg, r, logjac)
-            vals[:, a : a + step][:, live] = part
+    d = ya[:, :-1] - ya[:, -1:]
+    s = d.sum(axis=1)
+    out = np.full(ya.shape[0], np.inf)
+    for a in range(0, ya.shape[0], step):
+        live = s[a : a + step] > 0.0
+        if not np.any(live):
+            continue
+        dl = d[a : a + step][live]
+        sl = s[a : a + step][live]
+        part = np.empty((xi_grid.size, sl.size))
+        part[zero] = 2.0 * gammaln(k) - k * np.log(sl)
+        if xi_pos.size:
+            rpeak = (k - 1.0) / sl
+            r = rpeak[:, None] * pos_map[None, :]
+            logjac = np.log(rpeak)[:, None] + logw[None, :] - pos_jac[None, :]
+            part[pos] = _log_fa_shapes(dl, xi_pos, r[None], logjac[None])
+        if xi_neg.size:
+            rmax = -1.0 / (xi_neg[:, None] * dl[None, :, 0])
+            r = rmax[:, :, None] * u[None, None, :]
+            logjac = np.log(rmax)[:, :, None] + logw[None, None, :]
+            part[neg] = _log_fa_shapes(dl, xi_neg, r, logjac)
         with np.errstate(invalid="ignore"):
-            out[lo : lo + _CHUNK] = _logsumexp(vals, axis=0) - math.log(xi_grid.size)
+            out[a : a + step][live] = _logsumexp(part, axis=0) - math.log(xi_grid.size)
     return float(out[0]) if scalar else out
 
 

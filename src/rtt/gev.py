@@ -26,8 +26,6 @@ from .errors import InvalidArgument, MomentUndefined
 # power forms lose precision near zero shape.
 XI_ZERO_TOL = 1e-6
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 # Arrays smaller than this are summed by numpy: below it, one reduction call
 # costs less than the per-column calls of ``_row_sum``.
 _ROW_SUM_MIN_SIZE = 1024
@@ -135,26 +133,9 @@ def log_tail_density(y, theta: TailParams):
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 1
     ya = y[None, :] if scalar else y
-    k = ya.shape[-1]
-    x = ya / theta.eta - theta.kappa
-    ordered = np.all(x[..., :-1] >= x[..., 1:], axis=-1)
-    out = np.full(ya.shape[:-1], -np.inf)
-    xi = theta.xi
-    if abs(xi) < XI_ZERO_TOL:
-        with np.errstate(over="ignore"):
-            val = -k * math.log(theta.eta) - np.exp(-x[..., -1]) - _row_sum(x)
-        ok = ordered
-    else:
-        t = 1.0 + xi * x
-        ok = ordered & (t[..., 0] > 0.0) & (t[..., -1] > 0.0)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            logt = np.log(np.where(t > 0.0, t, 1.0))
-            val = (
-                -k * math.log(theta.eta)
-                - np.exp(-logt[..., -1] / xi)
-                - (1.0 + 1.0 / xi) * _row_sum(logt)
-            )
-    out[ok] = val[ok]
+    cols = np.array([theta.astuple()]).T
+    out = log_tail_density_multi(ya.reshape(-1, ya.shape[-1]), *cols).reshape(ya.shape[:-1])
+    out[~np.all(ya[..., :-1] >= ya[..., 1:], axis=-1)] = -np.inf
     return float(out[0]) if scalar else out
 
 
@@ -166,23 +147,27 @@ def tail_density(y, theta: TailParams):
 def log_tail_density_multi(y: np.ndarray, kappa: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Log tail density of each row of ``y`` (m, k) under each parameter triple.
 
-    Returns an (m, a) array for parameter vectors of length a.  Rows are
-    assumed weakly decreasing (the caller's sampling guarantees it).
+    Returns an (m, a) array for parameter vectors of length a; -inf outside
+    the support.  Rows are assumed weakly decreasing (``log_tail_density``
+    and the solver's pool check it).  The one f_T kernel of the package.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     kappa = np.asarray(kappa, dtype=float)
     eta = np.asarray(eta, dtype=float)
     xi = np.asarray(xi, dtype=float)
     k = y.shape[-1]
-    x = y[:, None, :] / eta[None, :, None] - kappa[None, :, None]  # (m, a, k)
-    xib = xi[None, :, None]
+    x = y[:, None, :] / eta[:, None] - kappa[:, None]  # (m, a, k)
+    lead = -k * np.log(eta)
     near0 = np.abs(xi) < XI_ZERO_TOL
-    t = 1.0 + xib * x
-    ok = (t[..., 0] > 0.0) & (t[..., -1] > 0.0) | near0[None, :]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        logt = np.log(np.where(t > 0.0, t, 1.0))
-        safe_xi = np.where(near0, 1.0, xi)[None, :]
-        gen = -np.exp(-logt[..., -1] / safe_xi) - (1.0 + 1.0 / safe_xi) * _row_sum(logt)
-        gmb = -np.exp(-x[..., -1]) - _row_sum(x)
-    val = np.where(near0[None, :], gmb, gen) - k * np.log(eta)[None, :]
-    return np.where(ok, val, -np.inf)
+        if near0.any():
+            gumbel = lead - np.exp(-x[..., -1]) - _row_sum(x)
+            if near0.all():
+                return gumbel
+        t = 1.0 + xi[:, None] * x
+        ok = (t[..., 0] > 0.0) & (t[..., -1] > 0.0) | near0
+        logt = np.log(t, out=t)  # on the support every t is positive
+        s = np.where(near0, 1.0, xi)
+        out = lead - np.exp(-logt[..., -1] / s) - (1.0 + 1.0 / s) * _row_sum(logt)
+    out[~ok] = -np.inf
+    return np.where(near0, gumbel, out) if near0.any() else out

@@ -65,14 +65,21 @@ def norm_logpdf(u, var=1.0):
     return -0.5 * (u * u) / var - 0.5 * np.log(var) - _LOG_SQRT_2PI
 
 
-def _m_star_raw(x, kappa: float, xi: float):
-    """m* without domain checks; caller guarantees 1 + xi x > 0 and xi < 1."""
+def _m_star_raw(x, kappa, xi):
+    """m* without domain checks; caller guarantees 1 + xi x > 0 and xi < 1.
+    ``kappa`` and ``xi`` broadcast against ``x``.  The one m* kernel."""
     x = np.asarray(x, dtype=float)
-    if abs(xi) < XI_ZERO_TOL:
-        return np.exp(-x) * (kappa + x + 1.0)
+    xi = np.asarray(xi, dtype=float)
+    near0 = np.abs(xi) < XI_ZERO_TOL
+    if near0.any():
+        gumbel = np.exp(-x) * (kappa + x + 1.0)
+        if near0.all():
+            return gumbel
     # (1+xi x)^(-1/xi) * (kappa + (1+xi x)/(xi(1-xi)) - 1/xi) simplifies to
     # the cancellation-free form below.
-    return np.exp(-np.log1p(xi * x) / xi) * (kappa + (x + 1.0) / (1.0 - xi))
+    s = np.where(near0, 1.0, xi)
+    out = np.exp(-np.log1p(xi * x) / s) * (kappa + (x + 1.0) / (1.0 - xi))
+    return np.where(near0, gumbel, out) if near0.any() else out
 
 
 def m_star(x_k, kappa: float, xi: float):
@@ -93,6 +100,21 @@ def big_m_star(y, theta: TailParams):
     return theta.eta * m_star(x_k, theta.kappa, theta.xi)
 
 
+def big_m_star_support(y_k, lf, kappa, eta, xi):
+    """M* of last elements ``y_k`` under parameters that broadcast against
+    them, 0 wherever the tail log density ``lf`` is -inf, so a parameter
+    without density adds nothing there even where M* overflows."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        ms = eta * _m_star_raw(y_k / eta - kappa, kappa, xi)
+    return np.where(lf > -np.inf, ms, 0.0)
+
+
+def extended_log_term(lf, ms, y0e):
+    """Log f^e from log f_T, M* and y0e: a variance-1/2 normal in y0e + M*."""
+    u = y0e + ms
+    return lf - u * u - _LOG_SQRT_PI
+
+
 def sample_ystar(theta: ThetaFull, mu: float, k: int, rng: np.random.Generator) -> YStar:
     """Draw one Y* observation; consumes rng as (X_R, X_L, Z)."""
     yr, yl, y0 = sample_ystar_block(theta, mu, k, rng, 1)
@@ -111,20 +133,20 @@ def sample_ystar_block(theta: ThetaFull, mu: float, k: int, rng: np.random.Gener
     return tr.eta * (xr + tr.kappa), tl.eta * (xl + tl.kappa), y0
 
 
+def _tail_parts(y, theta: TailParams):
+    """(log f_T, M*) of each row of ``y`` under one tail's parameters."""
+    lf = np.atleast_1d(log_tail_density(y, theta))
+    return lf, big_m_star_support(y[..., -1], lf, *theta.astuple())
+
+
 def log_joint_density_parts(y_right, y_left, y0, theta: ThetaFull, mu: float):
     """Log of f(y*|theta, mu) for batched blocks; -inf outside the support."""
     y_right = np.atleast_2d(np.asarray(y_right, dtype=float))
     y_left = np.atleast_2d(np.asarray(y_left, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    lf_r = np.atleast_1d(log_tail_density(y_right, theta.right))
-    lf_l = np.atleast_1d(log_tail_density(y_left, theta.left))
-    out = np.full(y0.shape, -np.inf)
-    ok = np.isfinite(lf_r) & np.isfinite(lf_l)
-    if np.any(ok):
-        mr = big_m_star(y_right[ok], theta.right)
-        ml = big_m_star(y_left[ok], theta.left)
-        out[ok] = lf_r[ok] + lf_l[ok] + norm_logpdf(y0[ok] - mu + mr - ml)
-    return out
+    lf_r, mr = _tail_parts(y_right, theta.right)
+    lf_l, ml = _tail_parts(y_left, theta.left)
+    return lf_r + lf_l + norm_logpdf(y0 - mu + mr - ml)
 
 
 def joint_density(y: YStar, theta: ThetaFull, mu: float) -> float:
@@ -144,13 +166,8 @@ def log_single_tail_density_parts(y_heavy, y_thin, y0, theta_s: TailParams):
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     y0t = y0 - y_thin.sum(axis=-1)
     vt = 1.0 + (y_thin * y_thin).sum(axis=-1)
-    lf = np.atleast_1d(log_tail_density(y_heavy, theta_s))
-    out = np.full(y0.shape, -np.inf)
-    ok = np.isfinite(lf)
-    if np.any(ok):
-        ms = big_m_star(y_heavy[ok], theta_s)
-        out[ok] = lf[ok] + norm_logpdf(y0t[ok] + ms, var=vt[ok])
-    return out
+    lf, ms = _tail_parts(y_heavy, theta_s)
+    return lf + norm_logpdf(y0t + ms, var=vt)
 
 
 def single_tail_density(y_heavy, y_thin, y0, theta_s: TailParams) -> float:
@@ -174,14 +191,7 @@ def log_extended_density_parts(y_tail, y0e, theta_s: TailParams):
     """Log f^e: tail density times a variance-1/2 normal in y0e + M*."""
     y_tail = np.atleast_2d(np.asarray(y_tail, dtype=float))
     y0e = np.atleast_1d(np.asarray(y0e, dtype=float))
-    lf = np.atleast_1d(log_tail_density(y_tail, theta_s))
-    out = np.full(y0e.shape, -np.inf)
-    ok = np.isfinite(lf)
-    if np.any(ok):
-        ms = big_m_star(y_tail[ok], theta_s)
-        u = y0e[ok] + ms
-        out[ok] = lf[ok] - u * u - _LOG_SQRT_PI
-    return out
+    return extended_log_term(*_tail_parts(y_tail, theta_s), y0e)
 
 
 def extended_density(e: ExtendedTail, theta_s: TailParams) -> float:

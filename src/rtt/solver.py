@@ -23,15 +23,18 @@ Carlo; stages 2 to 4 estimate them by importance sampling over a pool of
 "extended" single tails recombined pairwise.
 Progress is logged one line per iteration on the ``rtt.solver`` logger as
 
-    lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta>
+    lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta> elapsed_s=<float>
 
-which is the documented plain-text diagnostic format.
+which is the documented plain-text diagnostic format; stages 0 (before and
+after the pool build), 1 and 4 log ``lfd stage=`` lines of their own, and
+every such line ends in the wall seconds since its stage began.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -47,17 +50,16 @@ from .errors import (
 from .fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
 from .gev import (
     TailParams,
-    XI_ZERO_TOL,
     _row_sum,
-    log_tail_density,
     log_tail_density_multi,
     sample_joint_tail,
 )
 from .model import (
     ThetaFull,
-    _m_star_raw,
-    big_m_star,
+    big_m_star_support,
+    extended_log_term,
     log_extended_density_parts,
+    sample_extended_tail_block,
     sample_ystar_block,
 )
 from .space import (
@@ -73,7 +75,6 @@ from .space import (
 logger = logging.getLogger("rtt.solver")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 # Candidate switching constants, smallest first; stage 1 keeps the first pair
 # for which the gate alone respects the level on the switching boundary.
@@ -150,6 +151,9 @@ class IsPool:
             raise InvalidArgument("recombination count K must satisfy 1 <= K < N")
         if self.y0e.shape != (n,) or self.proposal_logdens.shape != (n,):
             raise InvalidArgument("pool arrays have inconsistent shapes")
+        # the pool's tail densities skip the per-call ordering check
+        if not np.all(self.y_tail[:, :-1] >= self.y_tail[:, 1:]):
+            raise InvalidArgument("pool tail rows must be weakly decreasing")
         self._ctx_cache = {}
 
     @property
@@ -249,10 +253,7 @@ def build_proposal(
         idx = np.where(assign == c)[0]
         if idx.size == 0:
             continue
-        x = sample_joint_tail(cfg.k, th.xi, rng, size=idx.size)
-        z = rng.standard_normal(idx.size)
-        y_tail[idx] = th.eta * (x + th.kappa)
-        y0e[idx] = z / math.sqrt(2.0) - th.eta * _m_star_raw(x[:, -1], th.kappa, th.xi)
+        y_tail[idx], y0e[idx] = sample_extended_tail_block(th, cfg.k, rng, idx.size)
     logdens = np.empty(size)
     chunk = max(1, int(4e6 // m))
     for lo in range(0, size, chunk):
@@ -347,11 +348,8 @@ class _PoolCtx:
         key = t.astuple()
         got = self._tails.get(key)
         if got is None:
-            lf = log_tail_density(self.y_tail, t)
-            ok = np.isfinite(lf)
-            ms = np.zeros(self.n)
-            if np.any(ok):
-                ms[ok] = big_m_star(self.y_tail[ok], t)
+            lf = log_tail_density_multi(self.y_tail, *np.array([key]).T)[:, 0]
+            ms = big_m_star_support(self.y_tail[:, -1], lf, *key)
             got = (lf.astype(np.float32), ms.astype(np.float32))
             if cache:
                 self._tails[key] = got
@@ -359,8 +357,7 @@ class _PoolCtx:
 
     def log_extended(self, t: TailParams, cache: bool = True) -> np.ndarray:
         lf, ms = self.tail_arrays(t, cache=cache)
-        u = self.y0e + ms.astype(float)
-        return lf.astype(float) - u * u - _LOG_SQRT_PI
+        return extended_log_term(lf.astype(float), ms.astype(float), self.y0e)
 
     def weight(self, t: TailParams, cache: bool = True) -> np.ndarray:
         """Float64 importance weight of every draw under t, not kept: the
@@ -512,6 +509,7 @@ def calibrate_switching_direct(
     importance-sampling pool, which lets the pool built afterwards cover the
     switching-dependent candidate grids exactly.
     """
+    started = time.perf_counter()
     cells = _boundary_draws(cfg, seed)
     diagnostics = []
     for rho1, rho_r in ladder:
@@ -528,7 +526,8 @@ def calibrate_switching_direct(
             if contains(ThetaFull(left=a, right=b), cfg)
         ]
         if not pairs:
-            logger.info("lfd stage=1 ladder=(%g,%g) boundary empty; accepted", rho1, rho_r)
+            logger.info("lfd stage=1 ladder=(%g,%g) boundary empty; accepted elapsed_s=%.3f",
+                        rho1, rho_r, time.perf_counter() - started)
             return switch
         worst = RpEstimate(rp=-1.0, se=0.0)
         worst_pair = pairs[0]
@@ -540,8 +539,9 @@ def calibrate_switching_direct(
             if est.rp > alpha + 2.0 * est.se:
                 ok = False
         logger.info(
-            "lfd stage=1 ladder=(%g,%g) max_rp=%.6f se=%.6f worst=%s ok=%d",
+            "lfd stage=1 ladder=(%g,%g) max_rp=%.6f se=%.6f worst=%s ok=%d elapsed_s=%.3f",
             rho1, rho_r, worst.rp, worst.se, fmt_theta(worst_pair), int(ok),
+            time.perf_counter() - started,
         )
         diagnostics.append((rho1, rho_r, worst.rp, worst.se, fmt_theta(worst_pair)))
         if ok:
@@ -761,6 +761,7 @@ def _iterate_lfd(
     alpha: float,
     tuning: SolverTuning,
     n_atoms: int,
+    started: float,
 ) -> np.ndarray:
     """Multiplicative-weights fixed point: binding checks pushed to level alpha.
 
@@ -771,7 +772,8 @@ def _iterate_lfd(
     steps so that the worst check starts near the level; by linearity every
     step compares d0 * e^s with one, where d0 is the denominator of the
     uniform start, computed once.  Returns the converged weights; raises
-    NonconvergenceError at the iteration cap.
+    NonconvergenceError at the iteration cap.  Log lines give the seconds
+    since ``started``, the stage's ``time.perf_counter()`` at its start.
     """
     lam = np.full(n_atoms, 1.0 / n_atoms)
 
@@ -796,8 +798,9 @@ def _iterate_lfd(
         i_worst = int(np.argmax(rp))
         est = sweep.rp_se(bits, i_worst)
         logger.info(
-            "lfd stage=%d iter=%d max_rp=%.6f se=%.6f worst=%s",
+            "lfd stage=%d iter=%d max_rp=%.6f se=%.6f worst=%s elapsed_s=%.3f",
             stage, it, est.rp, est.se, fmt_theta(sweep.checks[i_worst]),
+            time.perf_counter() - started,
         )
         if it >= tuning.min_iter and est.rp <= alpha + 2.0 * est.se:
             over = [i for i in np.flatnonzero(rp > alpha) if i != i_worst]
@@ -842,6 +845,7 @@ def solve_single_tail(
 ) -> list[LfdAtom]:
     """Stage 2: single-tail atoms so that gate+condition-2 respects the level
     for pairs (thin boundary left, heavy right) inside the null space."""
+    started = time.perf_counter()
     ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
     ctx.set_switch(switch)
     if not candidates:
@@ -860,7 +864,7 @@ def solve_single_tail(
     denom = _SingleDenom(ctx, candidates)
     sweep = _RpSweep(ctx, checks)
     lam = _iterate_lfd(
-        2, denom.denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates)
+        2, denom.denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates), started
     )
     keep = lam > tuning.prune_rel * lam.max()
     return [
@@ -910,6 +914,7 @@ def solve_two_tail(
     """Stage 3: full atoms so the complete four-condition test respects the
     level on heavy/heavy pairs.  Atoms are kept mirror-symmetric: each
     unordered pair contributes both orderings with half its weight."""
+    started = time.perf_counter()
     ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
     ctx.set_switch(switch)
     if not pair_pool:
@@ -947,7 +952,7 @@ def solve_two_tail(
     sweep = _RpSweep(ctx, checks, sub=sub)
     lam = _iterate_lfd(
         3, lambda w: pair_denom.denom(half * w[of_pair]),
-        sweep, np.arange(len(pairs)), alpha, tuning, len(pairs),
+        sweep, np.arange(len(pairs)), alpha, tuning, len(pairs), started,
     )
     keep = lam > tuning.prune_rel * lam.max()
     return [
@@ -958,22 +963,6 @@ def solve_two_tail(
 
 # ---------------------------------------------------------------------------
 # runtime evaluation of a stored test
-
-
-def _big_m_star_grid(y_k: np.ndarray, lf: np.ndarray, kappa: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """M*(y, theta_a) for y_k (m,) against parameter vectors (a,), zero where
-    the tail log density lf (m, a) is -inf, as in ``_PoolCtx.tail_arrays``, so
-    such an atom contributes exactly 0 even where M* overflows."""
-    x = y_k[:, None] / eta[None, :] - kappa[None, :]
-    xib = xi[None, :]
-    near0 = (np.abs(xi) < XI_ZERO_TOL)[None, :]
-    t = 1.0 + xib * x
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        gen = np.exp(-np.log(np.where(t > 0.0, t, 1.0)) / np.where(near0, 1.0, xib)) * (
-            kappa[None, :] + (x + 1.0) / (1.0 - xib)
-        )
-        gmb = np.exp(-x) * (kappa[None, :] + x + 1.0)
-    return np.where(lf > -np.inf, eta[None, :] * np.where(near0, gmb, gen), 0.0)
 
 
 def _denom_rows(term: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -1001,7 +990,7 @@ class TestEvaluator:
 
     def _single_denom(self, heavy: np.ndarray, thin: np.ndarray, y0: np.ndarray, shift: np.ndarray) -> np.ndarray:
         lf = log_tail_density_multi(heavy, *self.s_atoms[1:])
-        ms = _big_m_star_grid(heavy[:, -1], lf, *self.s_atoms[1:])
+        ms = big_m_star_support(heavy[:, -1:], lf, *self.s_atoms[1:])
         var = 1.0 + _row_sum(thin * thin)
         base = y0 - _row_sum(thin)
         term = _single_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
@@ -1039,8 +1028,8 @@ class TestEvaluator:
                 yr, yl = yrs[sub], yls[sub]
                 lf_r = log_tail_density_multi(yr, *self.f_atoms[4:])
                 lf_l = log_tail_density_multi(yl, *self.f_atoms[1:4])
-                ms_r = _big_m_star_grid(yr[:, -1], lf_r, *self.f_atoms[4:])
-                ms_l = _big_m_star_grid(yl[:, -1], lf_l, *self.f_atoms[1:4])
+                ms_r = big_m_star_support(yr[:, -1:], lf_r, *self.f_atoms[4:])
+                ms_l = big_m_star_support(yl[:, -1:], lf_l, *self.f_atoms[1:4])
                 shift = (logfa_r[sub] + logfa_l[sub])[:, None]
                 term = _pair_term(lf_r, lf_l, ms_r, ms_l, y0s[sub, None], 0.0, shift)
                 out[sub] = _denom_rows(term, self.f_atoms[0]) < 1.0
@@ -1175,8 +1164,10 @@ def build_table(config: BuildConfig):
         if extra.astuple() not in seen:
             region.append(extra)
             seen.add(extra.astuple())
-    logger.info("lfd stage=0 proposal components=%d draws=%d", len(region), config.n_draws)
+    started = time.perf_counter()
+    logger.info("lfd stage=0 proposal components=%d draws=%d elapsed_s=0.000", len(region), config.n_draws)
     pool = build_proposal(cfg, region, config.n_draws, config.recombine, seed=config.seed)
+    logger.info("lfd stage=0 pool built draws=%d elapsed_s=%.3f", pool.n, time.perf_counter() - started)
     atoms_s = solve_single_tail(
         cfg,
         config.alpha,
@@ -1224,6 +1215,7 @@ def build_table(config: BuildConfig):
         build_metadata=tuple(meta),
     )
     # stage 4: wide spot check
+    started = time.perf_counter()
     points = boundary_grid(cfg, config.spot_boundary_resolution)
     points += sample_interior(cfg, config.spot_interior, np.random.default_rng(config.seed + 5))
     rps = spot_check(table, pool, points, fa_nodes=config.fa_nodes)
@@ -1232,8 +1224,9 @@ def build_table(config: BuildConfig):
         1 for r in rps if r.rp > config.alpha + 2.0 * r.se + config.spot_slack
     )
     logger.info(
-        "lfd stage=4 points=%d max_rp=%.6f se=%.6f worst=%s violations=%d",
+        "lfd stage=4 points=%d max_rp=%.6f se=%.6f worst=%s violations=%d elapsed_s=%.3f",
         len(points), rps[worst].rp, rps[worst].se, fmt_theta(points[worst]), n_bad,
+        time.perf_counter() - started,
     )
     if n_bad:
         import warnings

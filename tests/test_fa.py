@@ -115,15 +115,14 @@ def _reference_log_fa_xi(d, xi, nodes):
 
 
 def _reference_log_f_a(ya, xi_grid, nodes):
+    """All rows in one (shapes, rows) array: with two rows or more numpy
+    averages the shapes row by row, the one order for every row."""
+    assert ya.shape[0] >= 2
     xi_grid = np.asarray(xi_grid, dtype=float)
-    out = np.empty(ya.shape[0])
-    for lo in range(0, ya.shape[0], _CHUNK):
-        block = ya[lo : lo + _CHUNK]
-        d = block[:, :-1] - block[:, -1:]
-        vals = np.stack([_reference_log_fa_xi(d, float(xi), nodes) for xi in xi_grid], axis=0)
-        with np.errstate(invalid="ignore"):
-            out[lo : lo + _CHUNK] = logsumexp(vals, axis=0) - math.log(xi_grid.size)
-    return out
+    d = ya[:, :-1] - ya[:, -1:]
+    vals = np.stack([_reference_log_fa_xi(d, float(xi), nodes) for xi in xi_grid], axis=0)
+    with np.errstate(invalid="ignore"):
+        return logsumexp(vals, axis=0) - math.log(xi_grid.size)
 
 
 def _tail_rows(rng, m, k):
@@ -154,11 +153,12 @@ class TestOnePassMatchesPerShapeLoop:
         for nodes in (40, 60):
             want = _reference_log_f_a(y, GRIDS[grid], nodes)
             assert np.array_equal(log_f_a_single(y, GRIDS[grid], nodes), want)
-            assert log_f_a_single(y[7], GRIDS[grid], nodes) == _reference_log_f_a(y[7:8], GRIDS[grid], nodes)[0]
+            assert log_f_a_single(y[7], GRIDS[grid], nodes) == want[7]
 
     def test_bit_identical_across_chunks(self):
-        # numpy sums a one-column (shapes, 1) block pairwise but wider blocks
-        # row by row, so the block boundaries must match the reference's too
+        # numpy sums a one-column (shapes, 1) array pairwise but wider ones
+        # row by row: a row alone in the last 4096-row block or in the last
+        # quadrature block must still be averaged row by row
         rng = np.random.default_rng(9)
         y = _tail_rows(rng, _CHUNK + 1, 4)
         assert np.array_equal(log_f_a_single(y), _reference_log_f_a(y, DEFAULT_XI_GRID, 40))
@@ -166,6 +166,16 @@ class TestOnePassMatchesPerShapeLoop:
         for last in range(30):
             rows = np.concatenate([y[:step], y[step + last : step + last + 1]])
             assert np.array_equal(log_f_a_single(rows), _reference_log_f_a(rows, DEFAULT_XI_GRID, 40))
+
+
+class TestOneRowMatchesBatch:
+    def test_each_row_alone(self):
+        # a row's bits must not depend on which rows share its call
+        rng = np.random.default_rng(0)
+        y = np.sort(rng.exponential(size=(2000, 4)), axis=1)[:, ::-1]
+        batch = log_f_a_single(y)
+        alone = np.array([log_f_a_single(row) for row in y])
+        assert np.array_equal(alone, batch)
 
 
 class TestLogSumExp:

@@ -169,15 +169,22 @@ class TestTailDensity:
     def test_multi_matches_single(self):
         rng = np.random.default_rng(5)
         y = np.sort(rng.normal(size=(40, 4)), axis=1)[:, ::-1] + 1.0
-        thetas = [TailParams(0.1, 0.8, -0.3), TailParams(0.5, 2.0, 0.0), TailParams(2.5, 0.3, 0.4)]
+        thetas = [
+            TailParams(0.1, 0.8, -0.3),
+            TailParams(0.5, 2.0, 0.0),  # Gumbel
+            TailParams(2.5, 0.3, 0.4),
+            TailParams(2.0, 0.5, -0.5),  # support ends inside the rows
+            TailParams(0.3, 1.3, 5e-7),  # Gumbel branch at a nonzero shape
+        ]
         got = log_tail_density_multi(
             y,
             np.array([t.kappa for t in thetas]),
             np.array([t.eta for t in thetas]),
             np.array([t.xi for t in thetas]),
         )
+        assert 0 < np.isinf(got[:, 3]).sum() < y.shape[0]
         for a, t in enumerate(thetas):
-            assert_allclose(got[:, a], log_tail_density(y, t), rtol=1e-12, atol=1e-12)
+            assert np.array_equal(got[:, a], log_tail_density(y, t))
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(InvalidArgument):

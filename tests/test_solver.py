@@ -2,6 +2,7 @@ import gc
 import logging
 import math
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from numpy.testing import assert_allclose
 
 from rtt.errors import CalibrationError, InvalidArgument
 from rtt.fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
-from rtt.gev import TailParams, log_tail_density_multi
-from rtt.model import ThetaFull, log_joint_density_parts
+from rtt.gev import TailParams, log_tail_density, log_tail_density_multi
+from rtt.model import ThetaFull, big_m_star, big_m_star_support, log_joint_density_parts
 from rtt.solver import (
     DEFAULT_LADDER,
     IsPool,
@@ -119,6 +120,14 @@ class TestPool:
                 proposal_logdens=np.zeros(5),
                 K=5,
             )
+
+    def test_unsorted_row_rejected(self):
+        # the pool's tail densities rely on rows checked once, here
+        y = np.sort(np.random.default_rng(2).exponential(size=(6, 4)), axis=1)[:, ::-1].copy()
+        IsPool(y_tail=y, y0e=np.zeros(6), proposal_logdens=np.zeros(6), K=2)
+        y[3, 1:3] = y[3, 2:0:-1]
+        with pytest.raises(InvalidArgument):
+            IsPool(y_tail=y, y0e=np.zeros(6), proposal_logdens=np.zeros(6), K=2)
 
     def test_proposal_covers_own_draws(self, pool):
         assert np.all(np.isfinite(pool.proposal_logdens))
@@ -319,6 +328,24 @@ class TestRuntimeAppliesCertifiedTest:
         assert 0 < bits[clear].sum() < clear.sum()
         assert np.array_equal(got[clear], bits[clear])
 
+    def test_runtime_tail_terms_match_solver_bits(self, pool):
+        # the evaluator's (rows, atoms) grids of log f_T and M* equal, bit for
+        # bit, the per-tail values the solver computes on its pool
+        table = read_table(DESK)
+        tails = {tuple(r[1:4]) for r in table.single_atoms}
+        tails |= {tail for r in table.full_atoms for tail in (tuple(r[1:4]), tuple(r[4:7]))}
+        cols = np.array(sorted(tails)).T
+        y = pool.y_tail
+        lf = log_tail_density_multi(y, *cols)
+        ms = big_m_star_support(y[:, -1:], lf, *cols)
+        assert 0 < np.isfinite(lf).mean() < 1
+        for a, tail in enumerate(sorted(tails)):
+            t = TailParams(*tail)
+            assert np.array_equal(lf[:, a], log_tail_density(y, t))
+            ok = np.isfinite(lf[:, a])
+            assert np.array_equal(ms[ok, a], big_m_star(y[ok], t))
+            assert np.all(ms[~ok, a] == 0.0)
+
     def test_atom_without_density_changes_nothing(self):
         # a Gumbel tail so far out that its log density is -inf and its M*
         # overflows at every row: the atom must contribute exactly 0
@@ -358,7 +385,7 @@ class TestNeymanPearsonOracle:
         sweep = _RpSweep(ctx, [theta])
         lam = _iterate_lfd(
             3, denom.denom, sweep, np.zeros(1, dtype=int), alpha,
-            SolverTuning(max_iter=120, min_iter=10, prescale_iter=30), 1,
+            SolverTuning(max_iter=120, min_iter=10, prescale_iter=30), 1, time.perf_counter(),
         )
         lam_star = float(lam[0])
 
@@ -405,7 +432,7 @@ class TestPrescale:
         alpha, tuning = 0.05, SolverTuning(max_iter=60, prescale_iter=24)
         sweep = _BlockSweep(3, base.shape[1])
         with caplog.at_level(logging.INFO, logger="rtt.solver"):
-            _iterate_lfd(2, denom, sweep, np.arange(3), alpha, tuning, 3)
+            _iterate_lfd(2, denom, sweep, np.arange(3), alpha, tuning, 3, time.perf_counter())
         iterations = sum("lfd stage=2 iter=" in r.getMessage() for r in caplog.records)
         assert len(calls) == 1 + iterations
         uniform = np.full(3, 1.0 / 3)
@@ -513,9 +540,16 @@ class TestSmokeBuild:
             gc.enable()
         assert not left
 
-    def test_build_and_metadata(self):
-        table = build_table(smoke_build_config(seed=3))
+    def test_build_and_metadata(self, caplog):
+        with caplog.at_level(logging.INFO, logger="rtt.solver"):
+            table = build_table(smoke_build_config(seed=3))
         assert table_checksum(table) == SMOKE_SEED3_CHECKSUM
+        # every stage logs, the pool before and after its build, and every
+        # line ends in the seconds since its stage began
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lfd stage=")]
+        stages = [int(re.match(r"lfd stage=(\d)", ln).group(1)) for ln in lines]
+        assert stages.count(0) == 2 and set(stages) == {0, 1, 2, 3, 4}
+        assert all(re.search(r" elapsed_s=\d+\.\d{3}$", ln) for ln in lines)
         assert table.k == 4 and table.alpha == 0.05
         meta = dict(table.build_metadata)
         assert int(meta["spot_points"]) > 20
