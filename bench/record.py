@@ -16,10 +16,13 @@ time.  Each side also makes one traced run (``--trace 1``) for the
 per-layer figures, and computes the checksums of the benchmark build, the
 smoke seed-3 build and the smoke seed-1 build at alpha 0.20; ``--desk`` adds
 one ``perfbench/desk_repro.py`` rebuild per side, with its time, stage split
-and peak memory.  Each side also decides a fixed corpus with each of
+and peak memory; ``checksums.identical`` says whether both sides built the
+same tables.  Each side also decides a fixed corpus with each of
 ``perfbench/data``'s tables and records a digest of the decisions: 60,060
 samples of n = 50, 8,580 from each of the seven populations, each shifted by
-a N(0, 0.35^2) mean, drawn from seed 77 and standardized with k = 4.
+a N(0, 0.35^2) mean, drawn from seed 77 and standardized with k = 4.  The
+record also keeps each side's line count of every ``src/rtt/*.py`` and
+their total, so a change's size is in its BENCH file.
 
 The record keeps, per workload and side, the median, quartiles and
 IQR/median of ``p90_ms``, ``peak_rss_mb`` and ``setup_s`` with every run's
@@ -191,6 +194,12 @@ def desk(tree: Path, scratch: Path, side: str) -> dict:
     return {key: got[key] for key in ("build_s", "stage_s", "peak_rss_mb", "checksum", "matches")}
 
 
+def line_counts(tree: Path) -> dict:
+    """Lines of each ``src/rtt/*.py`` of a side, as ``wc -l`` counts them."""
+    files = {p.name: p.read_bytes().count(b"\n") for p in sorted((tree / "src" / "rtt").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", default="HEAD~1", help="tree-ish of the parent (default HEAD~1)")
@@ -232,6 +241,7 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
     record.setdefault("workloads", {})
     record["protocol"] = {"command": bench["command"], "run_seconds": seconds,
                           "bounds": bounds, "checkout": "git archive of each side"}
+    record["lines"] = {side: line_counts(trees[side]) for side in SIDES}
 
     for name in names:
         entry, env = record_workload(trees, name, args.pairs, args.first_seed, seconds, bounds)
@@ -252,6 +262,7 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
     if "desk" in record:
         for side in SIDES:
             record["checksums"][side]["desk"] = record["desk"][side]["checksum"]
+    record["checksums"]["identical"] = record["checksums"]["base"] == record["checksums"]["head"]
     record["date_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     write(args.out, record)
 

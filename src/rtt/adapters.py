@@ -142,8 +142,8 @@ def clustered_ols_w(d: ClusteredDataset) -> np.ndarray:
     return beta_hat + h / scale
 
 
-def cluster_robust_t(d: ClusteredDataset, beta0: float) -> float:
-    """CR0 cluster-robust t statistic for the regressor coefficient."""
+def _cr0_fit(d: ClusteredDataset) -> tuple[float, float]:
+    """OLS estimate of the regressor coefficient and its CR0 standard error."""
     y = np.asarray(d.y, dtype=float)
     x = np.asarray(d.x, dtype=float)
     z = np.asarray(d.controls, dtype=float)
@@ -152,9 +152,13 @@ def cluster_robust_t(d: ClusteredDataset, beta0: float) -> float:
     u_hat = y - design @ coef
     x_til = _residualize(x, z)
     h = _cluster_sums(x_til * u_hat, np.asarray(d.clusters))
-    denom = float(x_til @ x_til)
-    se = np.sqrt(float(h @ h)) / denom
-    return (float(coef[0]) - beta0) / se
+    return float(coef[0]), float(np.sqrt(float(h @ h)) / float(x_til @ x_til))
+
+
+def cluster_robust_t(d: ClusteredDataset, beta0: float) -> float:
+    """CR0 cluster-robust t statistic for the regressor coefficient."""
+    beta_hat, se = _cr0_fit(d)
+    return (beta_hat - beta0) / se
 
 
 def finite_difference_jacobian(g_fn, theta, z, eps: float = 1e-6) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .adapters import ClusteredDataset, _residualize, cluster_robust_t, clustered_ols_w, two_sample_w
+from .adapters import ClusteredDataset, _cr0_fit, _residualize, clustered_ols_w, two_sample_w
 from .errors import ConfigurationError, DegenerateSample, InvalidArgument
 from .inference import confidence_interval, decide
 from .populations import Population, make_population
@@ -152,15 +152,11 @@ def wild_cluster_boot(
     se_star = np.sqrt((h * h).sum(axis=0)) / denom
     t_star = (coefs[0] - beta0) / se_star
 
-    t_obs = cluster_robust_t(dataset, beta0)
+    beta_hat, se_obs = _cr0_fit(dataset)
     q = float(np.quantile(np.abs(t_star), 1.0 - alpha))
-    reject = abs(t_obs) > q
+    reject = abs((beta_hat - beta0) / se_obs) > q
     if not with_ci:
         return TestOutcome(reject)
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    h_obs = cmat @ (x_til * (y - design @ coef))
-    se_obs = math.sqrt(float(h_obs @ h_obs)) / denom
-    beta_hat = float(coef[0])
     return TestOutcome(reject, beta_hat - q * se_obs, beta_hat + q * se_obs)
 
 

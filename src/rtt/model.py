@@ -60,11 +60,6 @@ class ExtendedTail:
     y0e: float
 
 
-def norm_logpdf(u, var=1.0):
-    """Log density of a centered normal with the given variance."""
-    return -0.5 * (u * u) / var - 0.5 * np.log(var) - _LOG_SQRT_2PI
-
-
 def _m_star_raw(x, kappa, xi):
     """m* without domain checks; caller guarantees 1 + xi x > 0 and xi < 1.
     ``kappa`` and ``xi`` broadcast against ``x``.  The one m* kernel."""
@@ -115,6 +110,20 @@ def extended_log_term(lf, ms, y0e):
     return lf - u * u - _LOG_SQRT_PI
 
 
+def single_tail_log_term(lf, ms, base, var, log_var, shift):
+    """Log single-tail density less ``shift`` from the heavy tail's log f_T and
+    M*: a normal in base + M* = y0 - sum(y_thin) + M*, variance 1 + sum(y_thin^2)."""
+    u = base + ms
+    return lf - 0.5 * u * u / var - 0.5 * log_var - _LOG_SQRT_2PI - shift
+
+
+def joint_log_term(lf_r, lf_l, ms_r, ms_l, y0_r, y0_l, shift):
+    """Log joint density less ``shift`` from both tails' log f_T and M*: a
+    standard normal in (y0_r + M*_r) - (y0_l + M*_l), with y0_r - y0_l = y0 - mu."""
+    u = (y0_r + ms_r) - (y0_l + ms_l)
+    return lf_r + lf_l - 0.5 * u * u - _LOG_SQRT_2PI - shift
+
+
 def sample_ystar(theta: ThetaFull, mu: float, k: int, rng: np.random.Generator) -> YStar:
     """Draw one Y* observation; consumes rng as (X_R, X_L, Z)."""
     yr, yl, y0 = sample_ystar_block(theta, mu, k, rng, 1)
@@ -146,7 +155,7 @@ def log_joint_density_parts(y_right, y_left, y0, theta: ThetaFull, mu: float):
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     lf_r, mr = _tail_parts(y_right, theta.right)
     lf_l, ml = _tail_parts(y_left, theta.left)
-    return lf_r + lf_l + norm_logpdf(y0 - mu + mr - ml)
+    return joint_log_term(lf_r, lf_l, mr, ml, y0 - mu, 0.0, 0.0)
 
 
 def joint_density(y: YStar, theta: ThetaFull, mu: float) -> float:
@@ -164,10 +173,9 @@ def log_single_tail_density_parts(y_heavy, y_thin, y0, theta_s: TailParams):
     y_heavy = np.atleast_2d(np.asarray(y_heavy, dtype=float))
     y_thin = np.atleast_2d(np.asarray(y_thin, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    y0t = y0 - y_thin.sum(axis=-1)
     vt = 1.0 + (y_thin * y_thin).sum(axis=-1)
     lf, ms = _tail_parts(y_heavy, theta_s)
-    return lf + norm_logpdf(y0t + ms, var=vt)
+    return single_tail_log_term(lf, ms, y0 - y_thin.sum(axis=-1), vt, np.log(vt), 0.0)
 
 
 def single_tail_density(y_heavy, y_thin, y0, theta_s: TailParams) -> float:

@@ -3,12 +3,13 @@
 The composite test rejects only when four conditions hold simultaneously: a
 blended-critical-value gate on the full-sample statistic, two single-tail
 likelihood-ratio conditions (one per tail, each softened by the opposite
-tail's switching index), and a two-tail likelihood-ratio condition.  Each
-likelihood-ratio condition holds where its shifted denominator, the weighted
-sum over atoms of exp(min(term, _EXP_CAP)) with the terms of ``_single_term``
-and ``_pair_term``, is below 1: the solver's stages and ``TestEvaluator``
-decide with the same rule.  The construction proceeds in four stages over
-increasingly large parts of the nuisance space:
+tail's switching index), and a two-tail likelihood-ratio condition.  The
+solver's stages and ``TestEvaluator`` decide with the same formulas: the
+gate of ``_gate_of_sums``, and likelihood-ratio conditions that hold where
+their shifted denominators, weighted sums over atoms of exp(min(term,
+_EXP_CAP)) with the terms of ``model.single_tail_log_term`` and
+``model.joint_log_term``, are below 1.  The construction proceeds in four
+stages over increasingly large parts of the nuisance space:
 
 1. choose switching constants so the gate alone controls size where both
    tails switch with 90% probability;
@@ -19,8 +20,9 @@ increasingly large parts of the nuisance space:
 4. spot-check the final test over a wide grid plus random interior points.
 
 Stage 1 estimates the gate's null rejection probabilities by plain Monte
-Carlo; stages 2 to 4 estimate them by importance sampling over a pool of
-"extended" single tails recombined pairwise.
+Carlo; stages 2 to 4 and ``estimate_rp`` estimate them with one importance
+sampling estimator, ``_rp_of_entries``, over a pool of "extended" single
+tails, each draw recombined with the K draws after it.
 Progress is logged one line per iteration on the ``rtt.solver`` logger as
 
     lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta> elapsed_s=<float>
@@ -58,9 +60,10 @@ from .model import (
     ThetaFull,
     big_m_star_support,
     extended_log_term,
-    log_extended_density_parts,
+    joint_log_term,
     sample_extended_tail_block,
     sample_ystar_block,
+    single_tail_log_term,
 )
 from .space import (
     SpaceConfig,
@@ -73,8 +76,6 @@ from .space import (
 )
 
 logger = logging.getLogger("rtt.solver")
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Candidate switching constants, smallest first; stage 1 keeps the first pair
 # for which the gate alone respects the level on the switching boundary.
@@ -209,20 +210,28 @@ def _t_of_sums(y0, s_r, s_l, q_r, q_l):
     return (np.asarray(y0, dtype=float) + s_r - s_l) / np.sqrt(1.0 + q_r + q_l)
 
 
-def blended_cv(s2sum, cv_z: float, cv_t: float):
-    """Critical value interpolating normal and student-t by tail weight."""
-    w = 1.0 / (1.0 + np.asarray(s2sum, dtype=float))
-    return w * cv_z + (1.0 - w) * cv_t
+def _gate_of_sums(y0, s_r, s_l, q_r, q_l, cv_z: float, cv_t: float):
+    """Statistic t and critical value cv of the gate (condition 1), which
+    holds where |t| > cv, from each tail's row sums s and sums of squares q;
+    cv blends the normal and student-t values by tail weight.  The one gate:
+    the runtime and stage 1 reach it through ``gate_values``, and the pool's
+    pair index calls it on recombined sums."""
+    w = 1.0 / (1.0 + np.asarray(q_r + q_l, dtype=float))
+    return _t_of_sums(y0, s_r, s_l, q_r, q_l), w * cv_z + (1.0 - w) * cv_t
 
 
 def gate_values(y_right, y_left, y0, cv_z: float, cv_t: float):
-    """Row-wise statistic t and blended critical value cv of the gate
-    (condition 1), which holds where |t| > cv."""
+    """Row-wise gate statistic t and critical value cv of tail blocks."""
     yr = np.atleast_2d(np.asarray(y_right, dtype=float))
     yl = np.atleast_2d(np.asarray(y_left, dtype=float))
-    q_r, q_l = _row_sum(yr * yr), _row_sum(yl * yl)
-    t = _t_of_sums(y0, _row_sum(yr), _row_sum(yl), q_r, q_l)
-    return t, blended_cv(q_r + q_l, cv_z, cv_t)
+    return _gate_of_sums(y0, _row_sum(yr), _row_sum(yl), _row_sum(yr * yr), _row_sum(yl * yl), cv_z, cv_t)
+
+
+def _sorted_tail_parts(y_tail: np.ndarray, t: TailParams) -> tuple[np.ndarray, np.ndarray]:
+    """(log f_T, M*) of every row of ``y_tail`` under t, for rows already
+    known to be weakly decreasing: the pool's, which ``IsPool`` checks once."""
+    lf = log_tail_density_multi(y_tail, *np.array([t.astuple()]).T)[:, 0]
+    return lf, big_m_star_support(y_tail[:, -1], lf, *t.astuple())
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +269,7 @@ def build_proposal(
         sl = slice(lo, min(lo + chunk, size))
         mat = np.empty((sl.stop - sl.start, m))
         for c, th in enumerate(comps):
-            mat[:, c] = log_extended_density_parts(y_tail[sl], y0e[sl], th)
+            mat[:, c] = extended_log_term(*_sorted_tail_parts(y_tail[sl], th), y0e[sl])
         mx = mat.max(axis=1)
         logdens[sl] = mx + np.log(np.exp(mat - mx[:, None]).sum(axis=1)) - math.log(m)
     return IsPool(
@@ -306,17 +315,16 @@ class _PoolCtx:
         las, lbs = [], []
         for j in range(1, K + 1):
             jdx = (idx + j) % n
-            tdiff = self.tnum - self.tnum[jdx]
-            dsq = 1.0 + self.S2 + self.S2[jdx]
-            cv = blended_cv(dsq - 1.0, self.cv_z, self.cv_t)
             if self.all_pairs:
                 keep = np.ones(n, dtype=bool)
             else:
-                keep = tdiff * tdiff > cv * cv * dsq
+                s_l, q_l = self.S1[jdx], self.S2[jdx]
+                t, cv = _gate_of_sums(self.y0e - self.y0e[jdx], self.S1, s_l, self.S2, q_l, self.cv_z, self.cv_t)
+                keep = np.abs(t) > cv
             las.append(idx[keep].astype(np.int32))
             lbs.append(jdx[keep].astype(np.int32))
-        self.la = np.concatenate(las) if las else np.empty(0, np.int32)
-        self.lb = np.concatenate(lbs) if lbs else np.empty(0, np.int32)
+        self.la = np.concatenate(las)
+        self.lb = np.concatenate(lbs)
         self._mask_built = True
 
     @property
@@ -348,23 +356,19 @@ class _PoolCtx:
         key = t.astuple()
         got = self._tails.get(key)
         if got is None:
-            lf = log_tail_density_multi(self.y_tail, *np.array([key]).T)[:, 0]
-            ms = big_m_star_support(self.y_tail[:, -1], lf, *key)
+            lf, ms = _sorted_tail_parts(self.y_tail, t)
             got = (lf.astype(np.float32), ms.astype(np.float32))
             if cache:
                 self._tails[key] = got
         return got
-
-    def log_extended(self, t: TailParams, cache: bool = True) -> np.ndarray:
-        lf, ms = self.tail_arrays(t, cache=cache)
-        return extended_log_term(lf.astype(float), ms.astype(float), self.y0e)
 
     def weight(self, t: TailParams, cache: bool = True) -> np.ndarray:
         """Float64 importance weight of every draw under t, not kept: the
         sweeps of one stage keep theirs, so a stage's weights are freed
         when it ends.  ``cache`` keeps t's tail arrays."""
         with np.errstate(over="ignore"):
-            return np.exp(self.log_extended(t, cache=cache) - self.logdens)
+            lf, ms = self.tail_arrays(t, cache=cache)
+            return np.exp(extended_log_term(lf.astype(float), ms.astype(float), self.y0e) - self.logdens)
 
 
 def _ctx_for(pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES) -> _PoolCtx:
@@ -376,58 +380,50 @@ def _ctx_for(pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAU
     return ctx
 
 
-def _block_se_from_per_draw(r: np.ndarray, K: int) -> float:
-    """Batch-means standard error of sum(r); blocks exceed the offset range."""
-    n = r.size
+def _rp_of_entries(bits, u, v, la, lb, n: int, K: int) -> RpEstimate:
+    """The one IS rejection estimator: the mean over the K·n recombined pairs
+    of ``bits`` times right weight u[la] times left weight v[lb], with the
+    batch-means se of its sums per first draw la (blocks exceed K)."""
+    c = bits * u[la] * v[lb] / (K * n)
+    r = np.bincount(la, weights=c, minlength=n)
     block = max(64, 4 * K)
     nb = n // block
     if nb < 2:
-        return float(r.std() * math.sqrt(n))
-    s = r[: nb * block].reshape(nb, block).sum(axis=1)
-    scale = n / (nb * block)
-    return float(s.std(ddof=1) * math.sqrt(nb) * scale)
-
-
-def _rp_from_entries(c: np.ndarray, la: np.ndarray, ctx: _PoolCtx) -> RpEstimate:
-    """RP as the sum of per-entry contributions c, with the batch-means se
-    of their sums per first draw ``la``."""
-    r = np.bincount(la, weights=c, minlength=ctx.n)
-    return RpEstimate(rp=float(c.sum()), se=_block_se_from_per_draw(r, ctx.K))
+        se = r.std() * math.sqrt(n)
+    else:
+        s = r[: nb * block].reshape(nb, block).sum(axis=1)
+        scale = n / (nb * block)
+        se = s.std(ddof=1) * math.sqrt(nb) * scale
+    return RpEstimate(rp=float(c.sum()), se=float(se))
 
 
 # ---------------------------------------------------------------------------
 # public importance-sampling estimator
 
 
-def estimate_rp(test, theta: ThetaFull, pool: IsPool, offsets=None) -> RpEstimate:
+def estimate_rp(test, theta: ThetaFull, pool: IsPool) -> RpEstimate:
     """Recombined importance-sampling estimate of the null rejection rate.
 
     ``test`` is a vectorized candidate test: called with (y_right (m, k),
-    y_left (m, k), y0 (m,)) it returns a boolean array.  Each pool draw is
-    recombined with K others (offsets wrap modulo N); the right-tail role is
-    taken by the first index, whose extended coordinate enters positively.
+    y_left (m, k), y0 (m,)) it returns a boolean array.  Each pool draw i is
+    recombined with draws i + 1, ..., i + K (modulo N), the solver's pairs;
+    the right-tail role is taken by the first index, whose extended
+    coordinate enters positively.
     """
     n, K = pool.n, pool.K
-    if offsets is None:
-        offsets = range(1, K + 1)
-    offsets = [int(j) % n for j in offsets]
-    if any(j == 0 for j in offsets):
-        raise InvalidArgument("recombination offsets must be nonzero modulo N")
-    lf_r = log_extended_density_parts(pool.y_tail, pool.y0e, theta.right)
-    lf_l = log_extended_density_parts(pool.y_tail, pool.y0e, theta.left)
     with np.errstate(over="ignore"):
-        u = np.exp(lf_r - pool.proposal_logdens)
-        v = np.exp(lf_l - pool.proposal_logdens)
+        u, v = (np.exp(extended_log_term(*_sorted_tail_parts(pool.y_tail, t), pool.y0e) - pool.proposal_logdens)
+                for t in (theta.right, theta.left))
     if not (np.any(u > 0.0) and np.any(v > 0.0)):
         return RpEstimate(rp=0.0, se=0.0, degenerate=True)
-    acc = np.zeros(n)
-    for j in offsets:
-        yl = np.roll(pool.y_tail, -j, axis=0)
-        y0 = pool.y0e - np.roll(pool.y0e, -j)
-        bits = np.asarray(test(pool.y_tail, yl, y0), dtype=float)
-        acc += bits * u * np.roll(v, -j)
-    r = acc / (len(offsets) * n)
-    return RpEstimate(rp=float(r.sum()), se=_block_se_from_per_draw(r, max(offsets)))
+    la = np.tile(np.arange(n), K)
+    lb = (la + np.repeat(np.arange(1, K + 1), n)) % n
+    # one offset per call keeps the test's inputs at N rows
+    bits = np.concatenate([
+        np.asarray(test(pool.y_tail, pool.y_tail[jdx], pool.y0e - pool.y0e[jdx]), dtype=float)
+        for jdx in np.split(lb, K)
+    ])
+    return _rp_of_entries(bits, u, v, la, lb, n, K)
 
 
 def simulate_rp(test, theta: ThetaFull, mu: float, k: int, n: int, seed: int = 0) -> RpEstimate:
@@ -633,20 +629,6 @@ _GATHER_CACHE_BUDGET = 4e8  # bytes of float32 weight gathers a sweep may keep
 _DECIDE_CHUNK = 64  # gate-passing rows per decide_batch block; bounds its memory
 
 
-def _single_term(lf, ms, base, var, log_var, shift):
-    """Shifted log term of one single-tail atom: log f_T(heavy) plus the
-    normal log density, with variance ``var``, of ``base`` + M*(heavy)."""
-    u = base + ms
-    return lf - 0.5 * u * u / var - 0.5 * log_var - _LOG_SQRT_2PI - shift
-
-
-def _pair_term(lf_r, lf_l, ms_r, ms_l, y0_r, y0_l, shift):
-    """Shifted log term of one two-tail atom: both tail log densities plus
-    the standard normal log density of (y0_r + M*_r) - (y0_l + M*_l)."""
-    u = (y0_r + ms_r) - (y0_l + ms_l)
-    return lf_r + lf_l - 0.5 * u * u - _LOG_SQRT_2PI - shift
-
-
 class _SingleDenom:
     """Shifted denominator of a single-tail condition at every entry.
 
@@ -673,7 +655,7 @@ class _SingleDenom:
             if lam_i <= 0.0:
                 continue
             lf, ms = self.ctx.tail_arrays(t)
-            term = _single_term(
+            term = single_tail_log_term(
                 lf[heavy].astype(float), ms[heavy], self.base, self.var, self.log_var, self.shift
             )
             np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
@@ -702,7 +684,7 @@ class _PairDenom:
                 continue
             lf_r, ms_r = ctx.tail_arrays(right)
             lf_l, ms_l = ctx.tail_arrays(left)
-            term = _pair_term(
+            term = joint_log_term(
                 lf_r[la].astype(float), lf_l[lb].astype(float), ms_r[la], ms_l[lb],
                 self.y0e_la, self.y0e_lb, self.shift,
             )
@@ -726,21 +708,28 @@ class _RpSweep:
         self._gathers: dict[tuple, np.ndarray] = {}
         self._weights: dict[tuple, np.ndarray] = {}
 
+    def _weight(self, t: TailParams) -> np.ndarray:
+        """Float64 weight of t at every pool draw, kept for the sweep."""
+        key = t.astuple()
+        w = self._weights.get(key)
+        if w is None:
+            w = self._weights[key] = self.ctx.weight(t)
+        return w
+
     def _at(self, t: TailParams, right: bool) -> np.ndarray:
         """Float32 weights of t at each entry's right (``la``) or left
         (``lb``) draw."""
         key = (right, t.astuple())
         got = self._gathers.get(key)
         if got is None:
-            w = self._weights.get(key[1])
-            if w is None:
-                w = self._weights[key[1]] = self.ctx.weight(t)
-            got = w[self.la if right else self.lb].astype(np.float32)
+            got = self._weight(t)[self.la if right else self.lb].astype(np.float32)
             if self._cache_gathers:
                 self._gathers[key] = got
         return got
 
     def rp(self, bits: np.ndarray) -> np.ndarray:
+        """RP at every check in float32 products, the fast path for many
+        checks: the iteration's atom updates are decided on these values."""
         out = np.empty(len(self.checks))
         for i, th in enumerate(self.checks):
             w = bits * self._at(th.right, True)
@@ -748,9 +737,10 @@ class _RpSweep:
         return out
 
     def rp_se(self, bits: np.ndarray, i: int) -> RpEstimate:
+        """RP and se at check i by the IS estimator, on float64 weights."""
         th = self.checks[i]
-        c = bits * self._at(th.right, True).astype(float) * self._at(th.left, False).astype(float) * self.scale
-        return _rp_from_entries(c, self.la, self.ctx)
+        ctx = self.ctx
+        return _rp_of_entries(bits, self._weight(th.right), self._weight(th.left), self.la, self.lb, ctx.n, ctx.K)
 
 
 def _iterate_lfd(
@@ -993,7 +983,7 @@ class TestEvaluator:
         ms = big_m_star_support(heavy[:, -1:], lf, *self.s_atoms[1:])
         var = 1.0 + _row_sum(thin * thin)
         base = y0 - _row_sum(thin)
-        term = _single_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
+        term = single_tail_log_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
         return _denom_rows(term, self.s_atoms[0])
 
     def condition1(self, y_right, y_left, y0):
@@ -1031,7 +1021,7 @@ class TestEvaluator:
                 ms_r = big_m_star_support(yr[:, -1:], lf_r, *self.f_atoms[4:])
                 ms_l = big_m_star_support(yl[:, -1:], lf_l, *self.f_atoms[1:4])
                 shift = (logfa_r[sub] + logfa_l[sub])[:, None]
-                term = _pair_term(lf_r, lf_l, ms_r, ms_l, y0s[sub, None], 0.0, shift)
+                term = joint_log_term(lf_r, lf_l, ms_r, ms_l, y0s[sub, None], 0.0, shift)
                 out[sub] = _denom_rows(term, self.f_atoms[0]) < 1.0
         return out
 
@@ -1078,8 +1068,7 @@ def spot_check(table, pool: IsPool, thetas: list[ThetaFull], fa_nodes: int = DEF
     for i, theta in enumerate(thetas):
         u = weight(theta.right)
         v = weight(theta.left)
-        c = bits * u[ctx.la] * v[ctx.lb] / (ctx.K * ctx.n)
-        out.append(_rp_from_entries(c, ctx.la, ctx))
+        out.append(_rp_of_entries(bits, u, v, ctx.la, ctx.lb, ctx.n, ctx.K))
         for key in (theta.right.astuple(), theta.left.astuple()):
             if last_use[key] == i:
                 live.pop(key, None)

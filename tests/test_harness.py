@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rtt.adapters import ClusteredDataset
+from rtt.adapters import ClusteredDataset, _cr0_fit, cluster_robust_t
 from rtt.errors import ConfigurationError, DegenerateSample, InvalidArgument
 from rtt.harness import (
     ExperimentDesign,
@@ -96,6 +96,12 @@ class TestComparators:
         d = ClusteredDataset(y=y, x=x, controls=z, clusters=labels)
         out = wild_cluster_boot(d, 0.0, 0.05, B=199, rng=np.random.default_rng(6))
         assert out.ci_low < out.ci_high
+        # one CR0 fit: the interval is centred on its estimate, and the test
+        # rejects where the CR0 t statistic exceeds the interval's critical value
+        beta_hat, se = _cr0_fit(d)
+        assert_allclose(0.5 * (out.ci_low + out.ci_high), beta_hat, rtol=1e-12)
+        q = (out.ci_high - out.ci_low) / (2.0 * se)
+        assert (abs(cluster_robust_t(d, 0.0)) > q) == out.reject
         # imposing an absurd null must reject
         far = wild_cluster_boot(d, 50.0, 0.05, B=199, rng=np.random.default_rng(7))
         assert far.reject

@@ -26,7 +26,7 @@ from rtt.solver import (
     _iterate_lfd,
     _PairDenom,
     _PoolCtx,
-    _rp_from_entries,
+    _rp_of_entries,
     _RpSweep,
     _SingleDenom,
     _table_entry_bits,
@@ -90,11 +90,13 @@ class TestEstimateRp:
         assert abs(a.rp - b.rp) < 3.0 * math.hypot(a.se, b.se)
 
     def test_offset_reseeding_is_within_noise(self, pool):
-        rng = np.random.default_rng(3)
+        # a pool drawn with another seed recombines other draws
+        region = proposal_region(CFG, n_xi=5, n_kappa=3, per_cell=5, eta_decades=2.5)
+        other = build_proposal(CFG, region, size=30_000, K=8, seed=2)
         theta = ThetaFull(TailParams(2.8, 0.06, 0.1), TailParams(2.8, 0.06, 0.1))
         base = estimate_rp(_t_gt_2, theta, pool)
-        alt_offsets = rng.choice(np.arange(1, pool.n), size=pool.K, replace=False)
-        alt = estimate_rp(_t_gt_2, theta, pool, offsets=alt_offsets)
+        alt = estimate_rp(_t_gt_2, theta, other)
+        assert base.rp != alt.rp
         assert abs(base.rp - alt.rp) < 3.0 * (base.se + alt.se)
 
     def test_degenerate_flag_for_uncovered_target(self):
@@ -104,11 +106,6 @@ class TestEstimateRp:
         far = TailParams(30.0, 1e4, -0.45)
         est = estimate_rp(_always, ThetaFull(far, far), p)
         assert est.degenerate
-
-    def test_zero_offset_rejected(self, pool):
-        th = TailParams(2.0, 0.1, 0.1)
-        with pytest.raises(InvalidArgument):
-            estimate_rp(_always, ThetaFull(th, th), pool, offsets=[0])
 
 
 class TestPool:
@@ -328,6 +325,30 @@ class TestRuntimeAppliesCertifiedTest:
         assert 0 < bits[clear].sum() < clear.sum()
         assert np.array_equal(got[clear], bits[clear])
 
+    def test_pool_pairs_are_runtime_gate_passes(self, pool):
+        # the solver's entries are exactly the recombined pairs, offsets 1..K,
+        # on which the runtime's gate holds
+        table = read_table(DESK)
+        ctx = _ctx_for(pool, table.alpha, table.xi_grid, DEFAULT_NODES)
+        n, K = pool.n, pool.K
+        la = np.tile(np.arange(n), K)
+        lb = (la + np.repeat(np.arange(1, K + 1), n)) % n
+        keep = TestEvaluator(table).condition1(pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb])
+        assert 0 < keep.sum() < keep.size
+        assert np.array_equal(ctx.la, la[keep]) and np.array_equal(ctx.lb, lb[keep])
+
+    def test_estimate_rp_of_runtime_matches_spot_check(self, pool):
+        # the public estimator applied to the shipped decision rule gives the
+        # stage-4 certificate's rate, up to the solver's float32 tail cache
+        table = read_table(DESK)
+        points = boundary_grid(CFG, 2) + sample_interior(CFG, 10, np.random.default_rng(6))
+        points = [points[i] for i in (0, 25, 38)]
+        decide = TestEvaluator(table).decide_batch
+        for theta, cert in zip(points, spot_check(table, pool, points)):
+            est = estimate_rp(decide, theta, pool)
+            assert cert.rp > 0.02
+            assert_allclose([est.rp, est.se], [cert.rp, cert.se], rtol=1e-5)
+
     def test_runtime_tail_terms_match_solver_bits(self, pool):
         # the evaluator's (rows, atoms) grids of log f_T and M* equal, bit for
         # bit, the per-tail values the solver computes on its pool
@@ -462,9 +483,11 @@ class TestSpotCheck:
         for th in points:
             u = ctx.weight(th.right, cache=False)
             v = ctx.weight(th.left, cache=False)
-            c = bits * u[ctx.la] * v[ctx.lb] / (pool.K * pool.n)
-            want.append(_rp_from_entries(c, ctx.la, ctx))
+            want.append(_rp_of_entries(bits, u, v, ctx.la, ctx.lb, pool.n, pool.K))
         assert got == want
+        # the iteration's se, from the same estimator
+        sweep = _RpSweep(ctx, points)
+        assert got == [sweep.rp_se(bits, i) for i in range(len(points))]
 
 
 class TestSolveSingleTail:
