@@ -20,7 +20,13 @@ and peak memory; ``checksums.identical`` says whether both sides built the
 same tables.  Each side also decides a fixed corpus with each of
 ``perfbench/data``'s tables and records a digest of the decisions: 60,060
 samples of n = 50, 8,580 from each of the seven populations, each shifted by
-a N(0, 0.35^2) mean, drawn from seed 77 and standardized with k = 4.  The
+a N(0, 0.35^2) mean, drawn from seed 77 and standardized with k = 4.  It
+likewise inverts the test on fresh samples and records a digest of the
+interval endpoints (their ``float.hex``): 32 samples of n = 50 drawn from
+seed 77, cycling the seven populations, each shifted by a N(0, 0.35^2)
+mean; the first 24 at level 0.95 on the desk table, the last 8 at 0.80 on
+the nested set of the desk, a10 and a20 tables.  ``intervals.identical``
+says whether both sides returned the same endpoints bit for bit.  The
 record also keeps each side's line count of every ``src/rtt/*.py`` and
 their total, so a change's size is in its BENCH file.
 
@@ -91,6 +97,32 @@ for key, table in W.load_tables().items():
     bits = ev.decide_batch(yr, yl, y0)
     out[key] = {"rows": int(bits.size), "gate": int(ev.condition1(yr, yl, y0).sum()),
                 "rejected": int(bits.sum()), "sha256": hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()}
+print(json.dumps(out))
+"""
+
+INTERVALS_SNIPPET = """
+import hashlib, json, sys
+sys.path[:0] = ["src", "perfbench"]
+import bench_env
+bench_env.prepare()
+import numpy as np
+import workloads as W
+from rtt.inference import TableSet, confidence_interval
+from rtt.populations import make_population, population_names
+rng = np.random.default_rng(77)
+names = population_names()
+tables = W.load_tables()
+targets = {"desk_095": (24, 0.95, tables["desk"]),
+           "set_080": (8, 0.80, TableSet([tables["desk"], tables["a10"], tables["a20"]]))}
+out, i = {}, 0
+for key, (count, level, target) in targets.items():
+    ends = []
+    for _ in range(count):
+        w = make_population(names[i % len(names)]).draw(rng, 50) + rng.normal(0.0, 0.35)
+        ends += [e.hex() for e in confidence_interval(w, level, target)]
+        i += 1
+    out[key] = {"intervals": count, "level": level,
+                "sha256": hashlib.sha256(" ".join(ends).encode()).hexdigest()}
 print(json.dumps(out))
 """
 
@@ -257,6 +289,11 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
         for side in SIDES
     }
     record["decisions"]["identical"] = record["decisions"]["base"] == record["decisions"]["head"]
+    record["intervals"] = {
+        side: json.loads(run([sys.executable, "-c", INTERVALS_SNIPPET], trees[side]).splitlines()[-1])
+        for side in SIDES
+    }
+    record["intervals"]["identical"] = record["intervals"]["base"] == record["intervals"]["head"]
     if args.desk:
         record["desk"] = {side: desk(trees[side], scratch, side) for side in SIDES}
     if "desk" in record:

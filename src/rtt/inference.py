@@ -3,7 +3,9 @@
 A raw sample is reduced to the standardized statistic (both extreme blocks
 plus the scaled middle sum) and evaluated against a stored test table.
 P-values come from a nested family of tables over a level grid; confidence
-intervals from test inversion on a deterministic grid refined by bisection.
+intervals from test inversion on a deterministic grid whose two endpoints are
+refined together, several bisection levels per batched decision call, taking
+exactly the steps of one-point-per-call bisection.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .errors import (
 from .model import YStar
 from .solver import TestEvaluator, gate_values
 from .table import TestTable, read_table
+
+# a requested level within this distance of a table's level selects that table
+_LEVEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,17 +168,18 @@ class TableSet:
         return self.tables[0].k
 
     def table_at(self, alpha: float) -> TestTable:
-        for t in self.tables:
-            if abs(t.alpha - alpha) < 1e-12:
-                return t
-        raise ConfigurationError(f"no table at level alpha={alpha}")
+        """The table whose level is nearest alpha, if within ``_LEVEL_TOL``."""
+        t = min(self.tables, key=lambda t: abs(t.alpha - alpha))
+        if abs(t.alpha - alpha) > _LEVEL_TOL:
+            raise ConfigurationError(f"no table at level alpha={alpha}")
+        return t
 
     def raw_decisions(self, w, mu0: float) -> list[bool]:
         return [decide(w, mu0, t).reject for t in self.tables]
 
     def nested_reject(self, w, mu0: float, alpha: float) -> bool:
         """Reject at alpha only if all tests at levels >= alpha reject."""
-        tables = [t for t in self.tables if t.alpha + 1e-12 >= alpha]
+        tables = [t for t in self.tables if t.alpha + _LEVEL_TOL >= alpha]
         if not tables:
             raise ConfigurationError(f"no table at level >= {alpha}")
         y, _ = _standardize(w, mu0, tables[0])
@@ -213,22 +219,72 @@ def p_value(w, mu0: float, tables: TableSet) -> PValueResult:
 CI_GRID_POINTS = 512
 CI_SPAN_RANGES = 10.0
 _BISECT_ITER = 80
+_BISECT_DEPTH = 3
 
 
-def _decide_grid(w, mu0s: np.ndarray, tables: list[TestTable]) -> np.ndarray:
+def _decide_grid(s: SampleSummary, mu0s: np.ndarray, tables: list[TestTable]) -> np.ndarray:
     """Vectorized nested decisions over a grid of hypothesized means.
 
     Shifting the hypothesized mean moves every block affinely, so a single
     summary at mu0 = 0 generates the whole family.  A mean is rejected only
     where every given table rejects it (the nested rule as a cumulative AND).
     """
-    s = summarize(w, tables[0].k, 0.0)
     d = s.denom
     shift = np.asarray(mu0s, dtype=float) / d
     yr = s.w_right[None, :] / d - shift[:, None]
     yl = s.w_left_neg[None, :] / d + shift[:, None]
     y0 = s.middle_sum / d - (s.n - 2 * s.k) * shift
     return _nested(yr, yl, y0, tables)
+
+
+def _bisection_tree(a_rej: float, b_acc: float, depth: int) -> list[float]:
+    """Midpoints of the next ``depth`` bisection levels of a bracket in heap
+    order: node i's children 2i + 1 and 2i + 2 bisect the half left after
+    node i's midpoint is rejected and accepted, respectively."""
+    brackets = [(a_rej, b_acc)]
+    mids = []
+    for j in range(2**depth - 1):
+        a, b = brackets[j]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        brackets += [(mid, b), (a, mid)]
+    return mids
+
+
+def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[TestTable]) -> list[float]:
+    """Bisect each (rejected, accepted) bracket to its accepted end.
+
+    Each round decides the next ``_BISECT_DEPTH`` levels of every live
+    bracket's bisection tree in one call, then walks each tree along the
+    decided branch.  The walk keeps the sequential loop's stop rules (a
+    midpoint equal to an end, at most ``_BISECT_ITER`` halvings), so every
+    end equals that of one-point-per-call bisection bit for bit.
+    """
+    brackets = list(brackets)
+    live = list(range(len(brackets)))
+    used = 0
+    while live and used < _BISECT_ITER:
+        depth = min(_BISECT_DEPTH, _BISECT_ITER - used)
+        trees = [_bisection_tree(*brackets[i], depth) for i in live]
+        rejected = _decide_grid(s, np.ravel(trees), tables).reshape(len(live), -1)
+        used += depth
+        unsettled = []
+        for i, mids, rej in zip(live, trees, rejected):
+            a_rej, b_acc = brackets[i]
+            node = 0
+            for _ in range(depth):
+                mid = mids[node]
+                if mid == a_rej or mid == b_acc:
+                    break
+                if rej[node]:
+                    a_rej, node = mid, 2 * node + 1
+                else:
+                    b_acc, node = mid, 2 * node + 2
+            else:
+                unsettled.append(i)
+            brackets[i] = (a_rej, b_acc)
+        live = unsettled
+    return [b_acc for _, b_acc in brackets]
 
 
 def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[float, float]:
@@ -238,18 +294,17 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     alpha = 1.0 - level
     tset = table if isinstance(table, TableSet) else TableSet([table])
     # the level picks one table; the interval nests every table at or above it
-    at = min(tset.tables, key=lambda t: abs(t.alpha - alpha))
-    if abs(at.alpha - alpha) > 1e-9:
-        raise ConfigurationError(f"no table at level alpha={alpha}")
+    at = tset.table_at(alpha)
     tables = [t for t in tset.tables if t.alpha >= at.alpha]
     w = np.asarray(w, dtype=float)
     center = float(w.mean())
     span = CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
     if span <= 0.0:
         raise DegenerateSample("sample has zero range")
+    s = summarize(w, at.k, 0.0)
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        reject = _decide_grid(w, grid, tables)
+        reject = _decide_grid(s, grid, tables)
         accept = np.flatnonzero(~reject)
         if accept.size:
             break
@@ -257,19 +312,13 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
         raise IntervalNotFound("every candidate mean was rejected on the widened grid")
 
     lo_idx, hi_idx = accept[0], accept[-1]
-
-    def _refine(a_rej: float, b_acc: float) -> float:
-        # invariant: a_rej rejected, b_acc accepted
-        for _ in range(_BISECT_ITER):
-            mid = 0.5 * (a_rej + b_acc)
-            if mid == a_rej or mid == b_acc:
-                break
-            if _decide_grid(w, np.array([mid]), tables)[0]:
-                a_rej = mid
-            else:
-                b_acc = mid
-        return b_acc
-
-    lo = grid[lo_idx] if lo_idx == 0 else _refine(grid[lo_idx - 1], grid[lo_idx])
-    hi = grid[hi_idx] if hi_idx == grid.size - 1 else _refine(grid[hi_idx + 1], grid[hi_idx])
-    return float(lo), float(hi)
+    ends = [grid[lo_idx], grid[hi_idx]]
+    # an endpoint inside the grid is bracketed by its rejected outer neighbour
+    brackets = {}
+    if lo_idx > 0:
+        brackets[0] = (grid[lo_idx - 1], grid[lo_idx])
+    if hi_idx < grid.size - 1:
+        brackets[1] = (grid[hi_idx + 1], grid[hi_idx])
+    for e, end in zip(brackets, _refine(s, list(brackets.values()), tables)):
+        ends[e] = end
+    return float(ends[0]), float(ends[1])

@@ -1,16 +1,19 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rtt import inference
 from rtt.errors import (
     ConfigurationError,
     DegenerateSample,
     SampleTooSmall,
 )
 from rtt.inference import (
+    CI_GRID_POINTS,
     PValueResult,
     TableSet,
     _decide_grid,
@@ -20,7 +23,9 @@ from rtt.inference import (
     summarize,
     to_ystar,
 )
-from rtt.table import TestTable
+from rtt.table import TestTable, read_table
+
+DESK = Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt"
 
 
 def gate_only_table(alpha=0.05, k=4, lam=1e-250):
@@ -35,6 +40,38 @@ def gate_only_table(alpha=0.05, k=4, lam=1e-250):
 
 
 TBL = gate_only_table()
+
+
+def sequential_ci(w, level, source):
+    """``confidence_interval`` refined one point per decision call: the
+    reference the batched refinement must reproduce bit for bit."""
+    tset = source if isinstance(source, TableSet) else TableSet([source])
+    at = tset.table_at(1.0 - level)
+    tables = [t for t in tset.tables if t.alpha >= at.alpha]
+    s = summarize(w, at.k, 0.0)
+    center = float(w.mean())
+    span = inference.CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
+    for widen in (1.0, 4.0):
+        grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
+        accept = np.flatnonzero(~_decide_grid(s, grid, tables))
+        if accept.size:
+            break
+
+    def refine(a_rej, b_acc):
+        for _ in range(inference._BISECT_ITER):
+            mid = 0.5 * (a_rej + b_acc)
+            if mid == a_rej or mid == b_acc:
+                break
+            if _decide_grid(s, np.array([mid]), tables)[0]:
+                a_rej = mid
+            else:
+                b_acc = mid
+        return b_acc
+
+    lo_idx, hi_idx = accept[0], accept[-1]
+    lo = grid[lo_idx] if lo_idx == 0 else refine(grid[lo_idx - 1], grid[lo_idx])
+    hi = grid[hi_idx] if hi_idx == grid.size - 1 else refine(grid[hi_idx + 1], grid[hi_idx])
+    return float(lo), float(hi)
 
 
 class TestSummarize:
@@ -175,6 +212,20 @@ class TestPValue:
             assert tables.nested_reject(w, 0.0, 0.01)
         assert [str(c.message) for c in caught] == [msg]
 
+    def test_level_tolerance_is_shared(self):
+        # a level 5e-10 off a table's level selects that table everywhere:
+        # in nested_reject, in table_at and (below) in confidence_interval
+        tables = TableSet([gate_only_table(a) for a in (0.05, 0.1)])
+        w = np.random.default_rng(18).standard_t(3, size=50)
+        means = np.linspace(-2.0, 2.0, 400)
+        want = [tables.nested_reject(w, float(m), 0.05) for m in means]
+        assert 0 < sum(want) < means.size
+        for alpha in (0.05 + 5e-10, 0.05 - 5e-10):
+            assert [tables.nested_reject(w, float(m), alpha) for m in means] == want
+            assert tables.table_at(alpha) is tables.tables[0]
+        with pytest.raises(ConfigurationError):
+            tables.table_at(0.05 + 2e-9)
+
     def test_set_validation(self):
         with pytest.raises(ConfigurationError):
             TableSet([])
@@ -215,7 +266,7 @@ class TestConfidenceInterval:
         for alpha in tables.alphas:
             nested = [t for t in tables.tables if t.alpha >= alpha]
             want = [tables.nested_reject(w, float(m), alpha) for m in grid]
-            assert np.array_equal(_decide_grid(w, grid, nested), want)
+            assert np.array_equal(_decide_grid(summarize(w, tables.k, 0.0), grid, nested), want)
             assert 0 < sum(want) < grid.size
 
     def test_scale_equivariance(self):
@@ -235,6 +286,31 @@ class TestConfidenceInterval:
             want = confidence_interval(w, 0.95, source)
             assert confidence_interval(w, 0.95 - 5e-10, source) == want
         assert want != confidence_interval(w, 0.90, tables)
+
+    @pytest.mark.parametrize("bisect_iter", [1, 2, 5, 7, 80])
+    def test_batched_refinement_equals_sequential_bisection(self, monkeypatch, bisect_iter):
+        # caps that are not multiples of the tree depth end a round early
+        monkeypatch.setattr(inference, "_BISECT_ITER", bisect_iter)
+        gate_set = TableSet([gate_only_table(a) for a in (0.01, 0.05, 0.1)])
+        rng = np.random.default_rng(20)
+        for _ in range(4):
+            w = rng.standard_t(3, size=50) + 0.3 * rng.normal()
+            for level in (0.90, 0.95, 0.99):
+                assert confidence_interval(w, level, gate_set) == sequential_ci(w, level, gate_set)
+        if bisect_iter in (5, 80):
+            desk = read_table(DESK)
+            w = rng.standard_t(3, size=50)
+            assert confidence_interval(w, 0.95, desk) == sequential_ci(w, 0.95, desk)
+
+    def test_endpoint_on_grid_edge_is_not_refined(self, monkeypatch):
+        # a grid narrower than the interval on its left: the lower end is the
+        # grid's first point, with no bracket, and only the upper end bisects
+        monkeypatch.setattr(inference, "CI_SPAN_RANGES", 0.375)
+        w = np.random.default_rng(19).lognormal(size=50)
+        lo, hi = confidence_interval(w, 0.95, TBL)
+        assert lo == float(w.mean()) - 0.375 * float(np.ptp(w)) / math.sqrt(w.size)
+        assert hi < float(w.mean()) + 0.375 * float(np.ptp(w)) / math.sqrt(w.size)
+        assert (lo, hi) == sequential_ci(w, 0.95, TBL)
 
     def test_level_must_match_table(self):
         rng = np.random.default_rng(16)
