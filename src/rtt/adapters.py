@@ -114,6 +114,24 @@ def _residualize(target: np.ndarray, z: np.ndarray) -> np.ndarray:
     return target - q @ (q.T @ target)
 
 
+def _ols_cluster_scores(d: ClusteredDataset) -> tuple[float, np.ndarray, np.ndarray]:
+    """OLS coefficient of the regressor, the regressor residualized on the
+    controls, and the cluster sums of that residual times the OLS residual."""
+    y = np.asarray(d.y, dtype=float)
+    x = np.asarray(d.x, dtype=float)
+    z = np.asarray(d.controls, dtype=float)
+    design = np.column_stack([x, z])
+    # lstsq's rank uses matrix_rank's default tolerance, so no second SVD
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        raise LinearAlgebraError(
+            f"design matrix is rank deficient (cond={np.linalg.cond(design):.3e})"
+        )
+    u_hat = y - design @ coef
+    x_til = _residualize(x, z)
+    return float(coef[0]), x_til, _cluster_sums(x_til * u_hat, np.asarray(d.clusters))
+
+
 def clustered_ols_w(d: ClusteredDataset) -> np.ndarray:
     """Effective observations for the regressor coefficient, one per cluster.
 
@@ -122,37 +140,17 @@ def clustered_ols_w(d: ClusteredDataset) -> np.ndarray:
     cluster (the printed first-power form does not reproduce the GMM
     equivalence).
     """
-    y = np.asarray(d.y, dtype=float)
-    x = np.asarray(d.x, dtype=float)
-    z = np.asarray(d.controls, dtype=float)
-    design = np.column_stack([x, z])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise LinearAlgebraError(
-            f"design matrix is rank deficient (cond={np.linalg.cond(design):.3e})"
-        )
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    beta_hat = float(coef[0])
-    u_hat = y - design @ coef
-    x_til = _residualize(x, z)
-    n = d.n_clusters
-    scale = float(x_til @ x_til) / n
+    beta_hat, x_til, h = _ols_cluster_scores(d)
+    scale = float(x_til @ x_til) / d.n_clusters
     if scale <= 0.0:
         raise LinearAlgebraError("regressor is collinear with the controls")
-    h = _cluster_sums(x_til * u_hat, np.asarray(d.clusters))
     return beta_hat + h / scale
 
 
 def _cr0_fit(d: ClusteredDataset) -> tuple[float, float]:
     """OLS estimate of the regressor coefficient and its CR0 standard error."""
-    y = np.asarray(d.y, dtype=float)
-    x = np.asarray(d.x, dtype=float)
-    z = np.asarray(d.controls, dtype=float)
-    design = np.column_stack([x, z])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    u_hat = y - design @ coef
-    x_til = _residualize(x, z)
-    h = _cluster_sums(x_til * u_hat, np.asarray(d.clusters))
-    return float(coef[0]), float(np.sqrt(float(h @ h)) / float(x_til @ x_til))
+    beta_hat, x_til, h = _ols_cluster_scores(d)
+    return beta_hat, float(np.sqrt(float(h @ h)) / float(x_til @ x_til))
 
 
 def cluster_robust_t(d: ClusteredDataset, beta0: float) -> float:

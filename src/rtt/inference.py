@@ -175,7 +175,10 @@ class TableSet:
         return t
 
     def raw_decisions(self, w, mu0: float) -> list[bool]:
-        return [decide(w, mu0, t).reject for t in self.tables]
+        """Each table's own decision, without the nested rule; the tables
+        share k and n0, so the sample is standardized (and warned about) once."""
+        y, _ = _standardize(w, mu0, self.tables[0])
+        return [bool(_evaluator(t).decide(y.y_right, y.y_left, y.y0)) for t in self.tables]
 
     def nested_reject(self, w, mu0: float, alpha: float) -> bool:
         """Reject at alpha only if all tests at levels >= alpha reject."""

@@ -142,7 +142,6 @@ class IsPool:
     proposal_logdens: np.ndarray
     K: int
     components: tuple[TailParams, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         n = self.y_tail.shape[0]
@@ -278,7 +277,6 @@ def build_proposal(
         proposal_logdens=logdens,
         K=K,
         components=comps,
-        seed=seed,
     )
 
 
@@ -287,68 +285,35 @@ def build_proposal(
 
 
 class _PoolCtx:
-    """Precomputed per-draw statistics and the gate-passing pair index."""
+    """A pool's per-draw statistics at one level, computed once here and
+    never changed: row sums, log f_a of every draw, and the entries, the
+    recombined pairs (i, i + j mod n), j = 1, ..., K in that order, on which
+    the gate holds, as index arrays ``la`` and ``lb``.  Only the per-tail
+    cache of (log f_T, M*) grows; the switching index depends on the
+    table's constants, so its readers compute it."""
 
-    def __init__(self, pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES, all_pairs: bool = False):
+    def __init__(self, pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES):
         # the pool's context cache holds this object, so it keeps the pool's
         # arrays and not the pool: a reference back would form a cycle that
         # pins the pool and every cache until a full garbage collection
         self.y_tail, self.y0e, self.logdens = pool.y_tail, pool.y0e, pool.proposal_logdens
         self.n, self.K = pool.n, pool.K
-        self.all_pairs = all_pairs
-        self.xi_grid = tuple(xi_grid)
-        self.fa_nodes = fa_nodes
-        self.S1 = _row_sum(self.y_tail)
+        s1 = _row_sum(self.y_tail)
         self.S2 = _row_sum(self.y_tail * self.y_tail)
-        self.tnum = self.y0e + self.S1
-        self.cv_z, self.cv_t = critical_values(alpha)
-        self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._logfa = None
-        self._mask_built = False
-        self._chi = None
-        self._switch = None
-
-    # -- condition-1 entries -------------------------------------------------
-    def _build_mask(self):
-        n, K = self.n, self.K
-        idx = np.arange(n, dtype=np.int64)
+        self.tnum = self.y0e + s1
+        cv_z, cv_t = critical_values(alpha)
+        idx = np.arange(self.n, dtype=np.int64)
         las, lbs = [], []
-        for j in range(1, K + 1):
-            jdx = (idx + j) % n
-            if self.all_pairs:
-                keep = np.ones(n, dtype=bool)
-            else:
-                s_l, q_l = self.S1[jdx], self.S2[jdx]
-                t, cv = _gate_of_sums(self.y0e - self.y0e[jdx], self.S1, s_l, self.S2, q_l, self.cv_z, self.cv_t)
-                keep = np.abs(t) > cv
+        for j in range(1, self.K + 1):
+            jdx = (idx + j) % self.n
+            t, cv = _gate_of_sums(self.y0e - self.y0e[jdx], s1, s1[jdx], self.S2, self.S2[jdx], cv_z, cv_t)
+            keep = np.abs(t) > cv
             las.append(idx[keep].astype(np.int32))
             lbs.append(jdx[keep].astype(np.int32))
         self.la = np.concatenate(las)
         self.lb = np.concatenate(lbs)
-        self._mask_built = True
-
-    @property
-    def entries(self) -> int:
-        if not self._mask_built:
-            self._build_mask()
-        return self.la.size
-
-    @property
-    def logfa(self) -> np.ndarray:
-        if self._logfa is None:
-            self._logfa = log_f_a_single(self.y_tail, self.xi_grid, self.fa_nodes)
-        return self._logfa
-
-    def set_switch(self, switch: SwitchConstants):
-        if self._switch != switch:
-            self._switch = switch
-            self._chi = switching_index(self.y_tail, switch)
-
-    @property
-    def chi(self) -> np.ndarray:
-        if self._chi is None:
-            raise ConfigurationError("switching constants not set on pool context")
-        return self._chi
+        self.logfa = log_f_a_single(self.y_tail, tuple(xi_grid), fa_nodes)
+        self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- per-parameter caches -------------------------------------------------
     def tail_arrays(self, t: TailParams, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -634,16 +599,16 @@ class _SingleDenom:
 
     Condition 2 takes the heavy block from the first index of each entry
     (``la``) and the thin block from the second (``lb``); condition 3 is the
-    same formula with the blocks exchanged (``swapped``).
+    same formula with the blocks exchanged (``swapped``).  ``chi`` is the
+    switching index of every pool draw.
     """
 
-    def __init__(self, ctx: _PoolCtx, atoms: list[TailParams], swapped: bool = False):
-        _ = ctx.entries
+    def __init__(self, ctx: _PoolCtx, atoms: list[TailParams], chi: np.ndarray, swapped: bool = False):
         heavy, thin = (ctx.lb, ctx.la) if swapped else (ctx.la, ctx.lb)
         self.ctx = ctx
         self.atoms = atoms
         self.heavy = heavy
-        self.shift = ctx.logfa[heavy] + _BOOST * ctx.chi[thin]
+        self.shift = ctx.logfa[heavy] + _BOOST * chi[thin]
         self.base = ctx.y0e[heavy] - ctx.tnum[thin]
         self.var = 1.0 + ctx.S2[thin]
         self.log_var = np.log(self.var)
@@ -667,7 +632,6 @@ class _PairDenom:
     atoms are ordered (left, right) tail pairs."""
 
     def __init__(self, ctx: _PoolCtx, atoms: list[tuple[TailParams, TailParams]], sub: np.ndarray):
-        _ = ctx.entries
         self.ctx = ctx
         self.atoms = atoms
         self.la = ctx.la[sub]
@@ -695,11 +659,11 @@ class _PairDenom:
 class _RpSweep:
     """RP of a bit vector at many check points over the ctx entry index."""
 
-    def __init__(self, ctx: _PoolCtx, checks: list[ThetaFull], sub=None):
+    def __init__(self, ctx: _PoolCtx, checks: list[ThetaFull], sub=slice(None)):
         self.ctx = ctx
         self.checks = checks
-        self.la = ctx.la if sub is None else ctx.la[sub]
-        self.lb = ctx.lb if sub is None else ctx.lb[sub]
+        self.la = ctx.la[sub]
+        self.lb = ctx.lb[sub]
         self.scale = 1.0 / (ctx.K * ctx.n)
         uniq_r = {th.right.astuple(): th.right for th in checks}
         uniq_l = {th.left.astuple(): th.left for th in checks}
@@ -837,7 +801,6 @@ def solve_single_tail(
     for pairs (thin boundary left, heavy right) inside the null space."""
     started = time.perf_counter()
     ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
-    ctx.set_switch(switch)
     if not candidates:
         raise ConfigurationError("no heavy single-tail candidates; switching absorbs the space")
     if not left_boundary:
@@ -851,7 +814,7 @@ def solve_single_tail(
                 atom_of_check.append(i)
     if not checks:
         raise ConfigurationError("no admissible (boundary, heavy) pairs to check")
-    denom = _SingleDenom(ctx, candidates)
+    denom = _SingleDenom(ctx, candidates, switching_index(pool.y_tail, switch))
     sweep = _RpSweep(ctx, checks)
     lam = _iterate_lfd(
         2, denom.denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates), started
@@ -880,11 +843,12 @@ def _full_rows(atoms: list[LfdAtom]):
     return tuple(out)
 
 
-def _single_condition_bits(ctx: _PoolCtx, params: list[TailParams], lam: np.ndarray):
-    """Conditions 2 and 3 of the single-tail test with atoms ``params`` and
-    weights ``lam`` at every entry."""
-    bits2 = _SingleDenom(ctx, params).denom(lam) < 1.0
-    bits3 = _SingleDenom(ctx, params, swapped=True).denom(lam) < 1.0
+def _single_condition_bits(ctx: _PoolCtx, params: list[TailParams], lam: np.ndarray, switch: SwitchConstants):
+    """Conditions 2 and 3 of the single-tail test with atoms ``params``,
+    weights ``lam`` and switching constants ``switch`` at every entry."""
+    chi = switching_index(ctx.y_tail, switch)
+    bits2 = _SingleDenom(ctx, params, chi).denom(lam) < 1.0
+    bits3 = _SingleDenom(ctx, params, chi, swapped=True).denom(lam) < 1.0
     return bits2 & bits3
 
 
@@ -906,7 +870,6 @@ def solve_two_tail(
     unordered pair contributes both orderings with half its weight."""
     started = time.perf_counter()
     ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
-    ctx.set_switch(switch)
     if not pair_pool:
         raise ConfigurationError("no heavy single-tail candidates for pairing")
     diag = []
@@ -936,7 +899,7 @@ def solve_two_tail(
     of_pair, half = np.asarray(of_pair), np.asarray(half)
     s_params = [a.theta for a in single_atoms]
     s_lam = np.array([a.weight for a in single_atoms])
-    sub = np.flatnonzero(_single_condition_bits(ctx, s_params, s_lam))
+    sub = np.flatnonzero(_single_condition_bits(ctx, s_params, s_lam, switch))
     checks = [ThetaFull(left=a, right=b) for a, b in pairs]
     pair_denom = _PairDenom(ctx, ordered, sub)
     sweep = _RpSweep(ctx, checks, sub=sub)
@@ -1035,13 +998,13 @@ class TestEvaluator:
 
 def _table_entry_bits(ctx: _PoolCtx, table) -> np.ndarray:
     """Composite-test bits at the gate-passing pool entries for a table."""
-    ctx.set_switch(SwitchConstants(table.rho1, table.rho_r))
     params = [TailParams(r[1], r[2], r[3]) for r in table.single_atoms]
     lam = np.array([r[0] for r in table.single_atoms])
-    sub = np.flatnonzero(_single_condition_bits(ctx, params, lam))
+    switch = SwitchConstants(table.rho1, table.rho_r)
+    sub = np.flatnonzero(_single_condition_bits(ctx, params, lam, switch))
     atoms = [(TailParams(r[1], r[2], r[3]), TailParams(r[4], r[5], r[6])) for r in table.full_atoms]
     acc = _PairDenom(ctx, atoms, sub).denom(np.array([r[0] for r in table.full_atoms]))
-    bits = np.zeros(ctx.entries, dtype=np.float32)
+    bits = np.zeros(ctx.la.size, dtype=np.float32)
     bits[sub[acc < 1.0]] = 1.0
     return bits
 

@@ -211,3 +211,13 @@ class TestClusteredOls:
         with pytest.raises(LinearAlgebraError):
             ClusteredDataset(y=rng.normal(size=n), x=rng.normal(size=n), controls=z,
                              clusters=np.arange(n))
+
+    def test_regressor_collinear_with_controls_rejected(self):
+        # one design check serves the effective observations and the CR0 t
+        rng = np.random.default_rng(9)
+        n = 30
+        z = np.column_stack([np.ones(n), rng.normal(size=n)])
+        d = ClusteredDataset(y=rng.normal(size=n), x=2.0 * z[:, 1], controls=z, clusters=np.arange(n))
+        for fit in (clustered_ols_w, lambda d: cluster_robust_t(d, 0.0)):
+            with pytest.raises(LinearAlgebraError, match="design matrix is rank deficient"):
+                fit(d)

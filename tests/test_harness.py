@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from rtt.harness import (
     _generate,
 )
 from rtt.populations import make_population, population_names
+from rtt.table import read_table
+
+DESK = Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt"
 
 
 class TestPopulations:
@@ -188,6 +192,23 @@ class TestRunExperiment:
         lines = text.strip().splitlines()
         assert lines[0] == "method,population,n,reject_rate,se,rel_ci_length"
         assert len(lines) == 3
+
+    def test_desk_size_row(self):
+        # null rejections out of 2000 replications at n = 50 with the shipped
+        # desk table, pinned so that a deliberate change to the table shows
+        # here: the new test sits far below its level of 5% (100 of 2000)
+        pops = ("N(0,1)", "LogN", "F(4,5)", "t(3)", "P(0.4)", "Mix1", "Mix2")
+        want = {"new": [2, 15, 41, 7, 52, 18, 66], "t_test": [85, 191, 283, 86, 273, 152, 368]}
+        desk = read_table(DESK)
+        got = {m: [] for m in want}
+        for pop in pops:
+            report = run_experiment(ExperimentDesign(
+                population=pop, n=50, replications=2000, methods=("t_test", "new"),
+                seed=1, table=desk, compute_ci=False,
+            ))
+            for m in got:
+                got[m].append(round(report.rate(m) * 2000))
+        assert got == want
 
 
 class TestDesignConfig:

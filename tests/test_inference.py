@@ -211,6 +211,10 @@ class TestPValue:
             warnings.simplefilter("always")
             assert tables.nested_reject(w, 0.0, 0.01)
         assert [str(c.message) for c in caught] == [msg]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert tables.raw_decisions(w, 0.0) == [True] * len(tables.tables)
+        assert [str(c.message) for c in caught] == [msg]
 
     def test_level_tolerance_is_shared(self):
         # a level 5e-10 off a table's level selects that table everywhere:

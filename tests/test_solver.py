@@ -307,11 +307,12 @@ class TestRuntimeAppliesCertifiedTest:
         s_lam = np.array([r[0] for r in table.single_atoms])
         pairs = [(TailParams(*r[1:4]), TailParams(*r[4:])) for r in table.full_atoms]
         f_lam = np.array([r[0] for r in table.full_atoms])
+        chi = switching_index(pool.y_tail, SwitchConstants(table.rho1, table.rho_r))
         with np.errstate(divide="ignore"):
             log_denoms = np.log([
-                _SingleDenom(ctx, singles).denom(s_lam),
-                _SingleDenom(ctx, singles, swapped=True).denom(s_lam),
-                _PairDenom(ctx, pairs, np.arange(ctx.entries)).denom(f_lam),
+                _SingleDenom(ctx, singles, chi).denom(s_lam),
+                _SingleDenom(ctx, singles, chi, swapped=True).denom(s_lam),
+                _PairDenom(ctx, pairs, np.arange(ctx.la.size)).denom(f_lam),
             ])
         clear = np.all(np.abs(log_denoms) > 1e-4, axis=0)
         ev = TestEvaluator(table)
@@ -398,11 +399,12 @@ class TestNeymanPearsonOracle:
         theta = ThetaFull(th, th)
         region = [th, TailParams(2.5, 0.25, 0.2), TailParams(2.5, 0.08, 0.2)]
         p = build_proposal(CFG, region, size=30_000, K=8, seed=11)
-        ctx = _PoolCtx(p, alpha, all_pairs=True)
-        ctx.set_switch(SwitchConstants(0.1, 0.1))
-        _ = ctx.entries
+        ctx = _PoolCtx(p, alpha)
+        # every recombined pair, not only the gate-passing ones
+        ctx.la = np.tile(np.arange(p.n, dtype=np.int32), p.K)
+        ctx.lb = (ctx.la + np.repeat(np.arange(1, p.K + 1, dtype=np.int32), p.n)) % p.n
         pairs = [(th, th)]
-        denom = _PairDenom(ctx, pairs, np.arange(ctx.entries))
+        denom = _PairDenom(ctx, pairs, np.arange(ctx.la.size))
         sweep = _RpSweep(ctx, [theta])
         lam = _iterate_lfd(
             3, denom.denom, sweep, np.zeros(1, dtype=int), alpha,
@@ -410,10 +412,8 @@ class TestNeymanPearsonOracle:
         )
         lam_star = float(lam[0])
 
-        xi_grid = ctx.xi_grid
-
         def np_test(yr, yl, y0):
-            num = log_f_a_single(yr, xi_grid) + log_f_a_single(yl, xi_grid)
+            num = log_f_a_single(yr, DEFAULT_XI_GRID) + log_f_a_single(yl, DEFAULT_XI_GRID)
             den = math.log(lam_star) + log_joint_density_parts(yr, yl, y0, theta, 0.0)
             return num > den
 
@@ -518,13 +518,12 @@ class TestSolveSingleTail:
             tuning=SolverTuning(max_iter=120, min_iter=25, prescale_iter=14),
             fa_nodes=24,
         )
-        ctx = _ctx_for(pool, alpha)
-        ctx.set_switch(sw)
+        ctx = _ctx_for(pool, alpha, DEFAULT_XI_GRID, 24)
         from rtt.space import contains
 
         params = [a.theta for a in atoms]
         lam = np.array([a.weight for a in atoms])
-        denom = _SingleDenom(ctx, params)
+        denom = _SingleDenom(ctx, params, switching_index(pool.y_tail, sw))
         bits = (denom.denom(lam) < 1.0).astype(np.float32)
         checks = [
             ThetaFull(left=l, right=h)
