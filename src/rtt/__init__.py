@@ -57,9 +57,6 @@ from .solver import (
     estimate_rp,
     simulate_rp,
     smoke_build_config,
-    solve_single_tail,
-    solve_two_tail,
-    spot_check,
     switching_index,
 )
 from .space import SpaceConfig, boundary_grid, contains, tail_mean, tail_second_moment

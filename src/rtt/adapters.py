@@ -147,16 +147,16 @@ def clustered_ols_w(d: ClusteredDataset) -> np.ndarray:
     return beta_hat + h / scale
 
 
-def _cr0_fit(d: ClusteredDataset) -> tuple[float, float]:
-    """OLS estimate of the regressor coefficient and its CR0 standard error."""
-    beta_hat, x_til, h = _ols_cluster_scores(d)
-    return beta_hat, float(np.sqrt(float(h @ h)) / float(x_til @ x_til))
+def _cr0_se(x_til: np.ndarray, h: np.ndarray) -> float:
+    """CR0 standard error of the regressor coefficient from the residualized
+    regressor and the cluster scores of ``_ols_cluster_scores``."""
+    return float(np.sqrt(float(h @ h)) / float(x_til @ x_til))
 
 
 def cluster_robust_t(d: ClusteredDataset, beta0: float) -> float:
     """CR0 cluster-robust t statistic for the regressor coefficient."""
-    beta_hat, se = _cr0_fit(d)
-    return (beta_hat - beta0) / se
+    beta_hat, x_til, h = _ols_cluster_scores(d)
+    return (beta_hat - beta0) / _cr0_se(x_til, h)
 
 
 def finite_difference_jacobian(g_fn, theta, z, eps: float = 1e-6) -> np.ndarray:

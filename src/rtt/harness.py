@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .adapters import ClusteredDataset, _cr0_fit, _residualize, clustered_ols_w, two_sample_w
+from .adapters import ClusteredDataset, _cr0_se, _ols_cluster_scores, clustered_ols_w, two_sample_w
 from .errors import ConfigurationError, DegenerateSample, InvalidArgument
 from .inference import confidence_interval, decide
 from .populations import Population, make_population
@@ -139,7 +139,7 @@ def wild_cluster_boot(
     base = z @ gamma + beta0 * x
     design = np.column_stack([x, z])
     pinv = np.linalg.pinv(design)
-    x_til = _residualize(x, z)
+    beta_hat, x_til, h_obs = _ols_cluster_scores(dataset)
     denom = float(x_til @ x_til)
     cmat = np.zeros((n_cl, y.size))
     cmat[inv, np.arange(y.size)] = 1.0
@@ -152,7 +152,7 @@ def wild_cluster_boot(
     se_star = np.sqrt((h * h).sum(axis=0)) / denom
     t_star = (coefs[0] - beta0) / se_star
 
-    beta_hat, se_obs = _cr0_fit(dataset)
+    se_obs = _cr0_se(x_til, h_obs)
     q = float(np.quantile(np.abs(t_star), 1.0 - alpha))
     reject = abs((beta_hat - beta0) / se_obs) > q
     if not with_ci:

@@ -22,7 +22,10 @@ stages over increasingly large parts of the nuisance space:
 Stage 1 estimates the gate's null rejection probabilities by plain Monte
 Carlo; stages 2 to 4 and ``estimate_rp`` estimate them with one importance
 sampling estimator, ``_rp_of_entries``, over a pool of "extended" single
-tails, each draw recombined with the K draws after it.
+tails, each draw recombined with the K draws after it.  ``build_table``
+builds the pool's one context, ``_PoolCtx``, right after the pool and hands
+it to stages 2 to 4; it evaluates conditions 2 and 3 once, after stage 2,
+and hands the entries where they hold to stages 3 and 4.
 Progress is logged one line per iteration on the ``rtt.solver`` logger as
 
     lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta> elapsed_s=<float>
@@ -154,7 +157,6 @@ class IsPool:
         # the pool's tail densities skip the per-call ordering check
         if not np.all(self.y_tail[:, :-1] >= self.y_tail[:, 1:]):
             raise InvalidArgument("pool tail rows must be weakly decreasing")
-        self._ctx_cache = {}
 
     @property
     def n(self) -> int:
@@ -285,17 +287,17 @@ def build_proposal(
 
 
 class _PoolCtx:
-    """A pool's per-draw statistics at one level, computed once here and
-    never changed: row sums, log f_a of every draw, and the entries, the
-    recombined pairs (i, i + j mod n), j = 1, ..., K in that order, on which
-    the gate holds, as index arrays ``la`` and ``lb``.  Only the per-tail
-    cache of (log f_T, M*) grows; the switching index depends on the
-    table's constants, so its readers compute it."""
+    """The pool's context at level ``alpha``, which a build makes once and
+    hands to stages 2 to 4.  It holds the pool's arrays and per-draw
+    statistics, computed here and never changed: row sums, log f_a of every
+    draw over ``DEFAULT_XI_GRID`` with ``fa_nodes`` quadrature nodes, and the
+    entries, the recombined pairs (i, i + j mod n), j = 1, ..., K in that
+    order, on which the gate holds, as index arrays ``la`` and ``lb``.  Only
+    the per-tail cache of (log f_T, M*) grows; the switching index depends
+    on the table's constants, so its readers compute it."""
 
-    def __init__(self, pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES):
-        # the pool's context cache holds this object, so it keeps the pool's
-        # arrays and not the pool: a reference back would form a cycle that
-        # pins the pool and every cache until a full garbage collection
+    def __init__(self, pool: IsPool, alpha: float, fa_nodes: int = DEFAULT_NODES):
+        self.alpha = alpha
         self.y_tail, self.y0e, self.logdens = pool.y_tail, pool.y0e, pool.proposal_logdens
         self.n, self.K = pool.n, pool.K
         s1 = _row_sum(self.y_tail)
@@ -312,7 +314,7 @@ class _PoolCtx:
             lbs.append(jdx[keep].astype(np.int32))
         self.la = np.concatenate(las)
         self.lb = np.concatenate(lbs)
-        self.logfa = log_f_a_single(self.y_tail, tuple(xi_grid), fa_nodes)
+        self.logfa = log_f_a_single(self.y_tail, DEFAULT_XI_GRID, fa_nodes)
         self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- per-parameter caches -------------------------------------------------
@@ -334,15 +336,6 @@ class _PoolCtx:
         with np.errstate(over="ignore"):
             lf, ms = self.tail_arrays(t, cache=cache)
             return np.exp(extended_log_term(lf.astype(float), ms.astype(float), self.y0e) - self.logdens)
-
-
-def _ctx_for(pool: IsPool, alpha: float, xi_grid=DEFAULT_XI_GRID, fa_nodes=DEFAULT_NODES) -> _PoolCtx:
-    key = (round(alpha, 12), tuple(xi_grid), fa_nodes)
-    ctx = pool._ctx_cache.get(key)
-    if ctx is None:
-        ctx = _PoolCtx(pool, alpha, xi_grid, fa_nodes)
-        pool._ctx_cache[key] = ctx
-    return ctx
 
 
 def _rp_of_entries(bits, u, v, la, lb, n: int, K: int) -> RpEstimate:
@@ -787,20 +780,16 @@ def _iterate_lfd(
 
 
 def solve_single_tail(
+    ctx: _PoolCtx,
     cfg: SpaceConfig,
-    alpha: float,
-    pool: IsPool,
     switch: SwitchConstants,
     candidates: list[TailParams],
     left_boundary: list[TailParams],
     tuning: SolverTuning = SolverTuning(),
-    xi_grid=DEFAULT_XI_GRID,
-    fa_nodes: int = DEFAULT_NODES,
 ) -> list[LfdAtom]:
     """Stage 2: single-tail atoms so that gate+condition-2 respects the level
     for pairs (thin boundary left, heavy right) inside the null space."""
     started = time.perf_counter()
-    ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
     if not candidates:
         raise ConfigurationError("no heavy single-tail candidates; switching absorbs the space")
     if not left_boundary:
@@ -814,10 +803,10 @@ def solve_single_tail(
                 atom_of_check.append(i)
     if not checks:
         raise ConfigurationError("no admissible (boundary, heavy) pairs to check")
-    denom = _SingleDenom(ctx, candidates, switching_index(pool.y_tail, switch))
+    denom = _SingleDenom(ctx, candidates, switching_index(ctx.y_tail, switch))
     sweep = _RpSweep(ctx, checks)
     lam = _iterate_lfd(
-        2, denom.denom, sweep, np.asarray(atom_of_check), alpha, tuning, len(candidates), started
+        2, denom.denom, sweep, np.asarray(atom_of_check), ctx.alpha, tuning, len(candidates), started
     )
     keep = lam > tuning.prune_rel * lam.max()
     return [
@@ -843,9 +832,11 @@ def _full_rows(atoms: list[LfdAtom]):
     return tuple(out)
 
 
-def _single_condition_bits(ctx: _PoolCtx, params: list[TailParams], lam: np.ndarray, switch: SwitchConstants):
-    """Conditions 2 and 3 of the single-tail test with atoms ``params``,
-    weights ``lam`` and switching constants ``switch`` at every entry."""
+def _single_condition_bits(ctx: _PoolCtx, atoms: list[LfdAtom], switch: SwitchConstants):
+    """Conditions 2 and 3 of the single-tail test with ``atoms`` and
+    switching constants ``switch`` at every entry."""
+    params = [a.theta for a in atoms]
+    lam = np.array([a.weight for a in atoms])
     chi = switching_index(ctx.y_tail, switch)
     bits2 = _SingleDenom(ctx, params, chi).denom(lam) < 1.0
     bits3 = _SingleDenom(ctx, params, chi, swapped=True).denom(lam) < 1.0
@@ -853,23 +844,19 @@ def _single_condition_bits(ctx: _PoolCtx, params: list[TailParams], lam: np.ndar
 
 
 def solve_two_tail(
+    ctx: _PoolCtx,
     cfg: SpaceConfig,
-    alpha: float,
-    pool: IsPool,
-    single_atoms: list[LfdAtom],
-    switch: SwitchConstants,
+    sub: np.ndarray,
     pair_pool: list[TailParams],
     max_pairs: int = 420,
     tuning: SolverTuning = SolverTuning(),
-    xi_grid=DEFAULT_XI_GRID,
-    fa_nodes: int = DEFAULT_NODES,
     seed: int = 0,
 ) -> list[LfdAtom]:
     """Stage 3: full atoms so the complete four-condition test respects the
-    level on heavy/heavy pairs.  Atoms are kept mirror-symmetric: each
-    unordered pair contributes both orderings with half its weight."""
+    level on heavy/heavy pairs; ``sub`` holds the entries where conditions 2
+    and 3 hold.  Atoms are kept mirror-symmetric: each unordered pair
+    contributes both orderings with half its weight."""
     started = time.perf_counter()
-    ctx = _ctx_for(pool, alpha, xi_grid, fa_nodes)
     if not pair_pool:
         raise ConfigurationError("no heavy single-tail candidates for pairing")
     diag = []
@@ -897,15 +884,12 @@ def solve_two_tail(
             of_pair.append(p)
             half.append(1.0 if same else 0.5)
     of_pair, half = np.asarray(of_pair), np.asarray(half)
-    s_params = [a.theta for a in single_atoms]
-    s_lam = np.array([a.weight for a in single_atoms])
-    sub = np.flatnonzero(_single_condition_bits(ctx, s_params, s_lam, switch))
     checks = [ThetaFull(left=a, right=b) for a, b in pairs]
     pair_denom = _PairDenom(ctx, ordered, sub)
     sweep = _RpSweep(ctx, checks, sub=sub)
     lam = _iterate_lfd(
         3, lambda w: pair_denom.denom(half * w[of_pair]),
-        sweep, np.arange(len(pairs)), alpha, tuning, len(pairs), started,
+        sweep, np.arange(len(pairs)), ctx.alpha, tuning, len(pairs), started,
     )
     keep = lam > tuning.prune_rel * lam.max()
     return [
@@ -996,26 +980,24 @@ class TestEvaluator:
 # stage 4 spot check
 
 
-def _table_entry_bits(ctx: _PoolCtx, table) -> np.ndarray:
-    """Composite-test bits at the gate-passing pool entries for a table."""
-    params = [TailParams(r[1], r[2], r[3]) for r in table.single_atoms]
-    lam = np.array([r[0] for r in table.single_atoms])
-    switch = SwitchConstants(table.rho1, table.rho_r)
-    sub = np.flatnonzero(_single_condition_bits(ctx, params, lam, switch))
-    atoms = [(TailParams(r[1], r[2], r[3]), TailParams(r[4], r[5], r[6])) for r in table.full_atoms]
-    acc = _PairDenom(ctx, atoms, sub).denom(np.array([r[0] for r in table.full_atoms]))
+def _table_entry_bits(ctx: _PoolCtx, sub: np.ndarray, atoms: list[LfdAtom]) -> np.ndarray:
+    """Composite-test bits at every entry: condition 4 with the full
+    ``atoms`` at the entries ``sub`` where conditions 1 to 3 hold."""
+    pairs = [(a.theta.left, a.theta.right) for a in atoms]
+    acc = _PairDenom(ctx, pairs, sub).denom(np.array([a.weight for a in atoms]))
     bits = np.zeros(ctx.la.size, dtype=np.float32)
     bits[sub[acc < 1.0]] = 1.0
     return bits
 
 
-def spot_check(table, pool: IsPool, thetas: list[ThetaFull], fa_nodes: int = DEFAULT_NODES) -> list[RpEstimate]:
-    """Estimated null rejection rate of the stored test at each point.
+def spot_check(ctx: _PoolCtx, sub: np.ndarray, atoms: list[LfdAtom], thetas: list[ThetaFull]) -> list[RpEstimate]:
+    """Estimated null rejection rate at each point of the composite test
+    whose conditions 2 and 3 hold at the entries ``sub`` and whose full
+    atoms are ``atoms``.
 
     Points share tails, so each distinct tail's weights are computed once,
     uncached, and dropped after the last point that uses them."""
-    ctx = _ctx_for(pool, table.alpha, table.xi_grid, fa_nodes)
-    bits = _table_entry_bits(ctx, table)
+    bits = _table_entry_bits(ctx, sub, atoms)
     last_use = {}
     for i, theta in enumerate(thetas):
         last_use[theta.right.astuple()] = last_use[theta.left.astuple()] = i
@@ -1045,10 +1027,11 @@ def spot_check(table, pool: IsPool, thetas: list[ThetaFull], fa_nodes: int = DEF
 class BuildConfig:
     """All knobs of the four-stage construction.
 
-    The table keeps k, n0, alpha and xi_grid, and its metadata seed, n_draws,
+    The table keeps k, n0 and alpha, and its metadata seed, n_draws,
     recombine, fa_nodes, the n_xi x n_kappa x n_eta grid, step_c, margin_se
-    and max_iter.  proposal_per_cell, eta_decades, ladder, max_pairs, the
-    spot_* settings and the other tuning fields are not recorded."""
+    and max_iter; its shape grid is ``DEFAULT_XI_GRID``.  proposal_per_cell,
+    eta_decades, ladder, max_pairs, the spot_* settings and the other tuning
+    fields are not recorded."""
 
     k: int = 4
     n0: int = 50
@@ -1056,7 +1039,6 @@ class BuildConfig:
     n_draws: int = 200_000
     recombine: int = 16
     seed: int = 0
-    xi_grid: tuple[float, ...] = DEFAULT_XI_GRID
     fa_nodes: int = DEFAULT_NODES
     n_xi: int = 9
     n_kappa: int = 5
@@ -1119,30 +1101,13 @@ def build_table(config: BuildConfig):
     started = time.perf_counter()
     logger.info("lfd stage=0 proposal components=%d draws=%d elapsed_s=0.000", len(region), config.n_draws)
     pool = build_proposal(cfg, region, config.n_draws, config.recombine, seed=config.seed)
+    ctx = _PoolCtx(pool, config.alpha, config.fa_nodes)
     logger.info("lfd stage=0 pool built draws=%d elapsed_s=%.3f", pool.n, time.perf_counter() - started)
-    atoms_s = solve_single_tail(
-        cfg,
-        config.alpha,
-        pool,
-        switch,
-        candidates=candidates,
-        left_boundary=lefts,
-        tuning=config.tuning,
-        xi_grid=config.xi_grid,
-        fa_nodes=config.fa_nodes,
-    )
+    atoms_s = solve_single_tail(ctx, cfg, switch, candidates, lefts, config.tuning)
+    # the entries where conditions 2 and 3 hold, for stages 3 and 4
+    sub = np.flatnonzero(_single_condition_bits(ctx, atoms_s, switch))
     atoms_f = solve_two_tail(
-        cfg,
-        config.alpha,
-        pool,
-        atoms_s,
-        switch,
-        pair_pool=candidates,
-        max_pairs=config.max_pairs,
-        tuning=config.tuning,
-        xi_grid=config.xi_grid,
-        fa_nodes=config.fa_nodes,
-        seed=config.seed + 4,
+        ctx, cfg, sub, candidates, config.max_pairs, config.tuning, seed=config.seed + 4
     )
     meta = [
         ("format", "1"),
@@ -1163,14 +1128,14 @@ def build_table(config: BuildConfig):
         rho_r=switch.rho_r,
         single_atoms=_single_rows(atoms_s),
         full_atoms=_full_rows(atoms_f),
-        xi_grid=tuple(config.xi_grid),
+        xi_grid=DEFAULT_XI_GRID,
         build_metadata=tuple(meta),
     )
     # stage 4: wide spot check
     started = time.perf_counter()
     points = boundary_grid(cfg, config.spot_boundary_resolution)
     points += sample_interior(cfg, config.spot_interior, np.random.default_rng(config.seed + 5))
-    rps = spot_check(table, pool, points, fa_nodes=config.fa_nodes)
+    rps = spot_check(ctx, sub, atoms_f, points)
     worst = max(range(len(points)), key=lambda i: rps[i].rp - 2.0 * rps[i].se)
     n_bad = sum(
         1 for r in rps if r.rp > config.alpha + 2.0 * r.se + config.spot_slack

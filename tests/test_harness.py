@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rtt.adapters import ClusteredDataset, _cr0_fit, cluster_robust_t
+from rtt.adapters import ClusteredDataset, _cr0_se, _ols_cluster_scores, cluster_robust_t
 from rtt.errors import ConfigurationError, DegenerateSample, InvalidArgument
 from rtt.harness import (
     ExperimentDesign,
@@ -102,7 +102,8 @@ class TestComparators:
         assert out.ci_low < out.ci_high
         # one CR0 fit: the interval is centred on its estimate, and the test
         # rejects where the CR0 t statistic exceeds the interval's critical value
-        beta_hat, se = _cr0_fit(d)
+        beta_hat, x_til, h = _ols_cluster_scores(d)
+        se = _cr0_se(x_til, h)
         assert_allclose(0.5 * (out.ci_low + out.ci_high), beta_hat, rtol=1e-12)
         q = (out.ci_high - out.ci_low) / (2.0 * se)
         assert (abs(cluster_robust_t(d, 0.0)) > q) == out.reject

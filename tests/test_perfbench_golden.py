@@ -1,8 +1,9 @@
-"""The runtime reproduces the decisions the benchmark recorded.
+"""The runtime and the solver reproduce what the benchmark recorded.
 
 ``perfbench/data/golden.json`` holds the desk table's ``decide_batch`` bits on
-10,000 standardized master rows.  Checking them here makes a change that
-flips a decision fail the test suite, not only the benchmark.
+10,000 standardized master rows and the checksum of the benchmark's build.
+Checking them here makes a change that flips a decision or moves a table
+byte fail the test suite, not only the benchmark.
 """
 
 import importlib.util
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rtt.solver import TestEvaluator
+from rtt.solver import TestEvaluator, build_table
+from rtt.table import table_checksum
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -29,3 +31,8 @@ def test_batch_bits_match_golden():
     got = TestEvaluator(W.load_tables()["desk"]).decide_batch(yr, yl, y0)
     assert want.size == W.BATCH_MASTER_ROWS and 0 < want.sum() < want.size
     assert np.array_equal(got, want)
+
+
+def test_build_checksum_matches_golden():
+    W = _workloads()
+    assert table_checksum(build_table(W.build_config())) == W.load_golden()["build"]["checksum"]

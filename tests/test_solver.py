@@ -17,18 +17,19 @@ from rtt.model import ThetaFull, big_m_star, big_m_star_support, log_joint_densi
 from rtt.solver import (
     DEFAULT_LADDER,
     IsPool,
+    LfdAtom,
     RpEstimate,
     SwitchConstants,
     TestEvaluator,
     _BOOST,
     _DECIDE_CHUNK,
-    _ctx_for,
     _iterate_lfd,
     _PairDenom,
     _PoolCtx,
     _rp_of_entries,
     _RpSweep,
     _SingleDenom,
+    _single_condition_bits,
     _table_entry_bits,
     SolverTuning,
     boundary_left_reps,
@@ -69,6 +70,35 @@ def _t_gt_2(yr, yl, y0):
 def pool():
     region = proposal_region(CFG, n_xi=5, n_kappa=3, per_cell=5, eta_decades=2.5)
     return build_proposal(CFG, region, size=30_000, K=8, seed=1)
+
+
+# the pool's contexts at level 0.05, with the runtime's 40 f_a nodes and the
+# smoke builds' 24; each costs about a second, so the module shares them
+@pytest.fixture(scope="module")
+def ctx40(pool):
+    return _PoolCtx(pool, 0.05, DEFAULT_NODES)
+
+
+@pytest.fixture(scope="module")
+def ctx24(pool):
+    return _PoolCtx(pool, 0.05, 24)
+
+
+def _table_atoms(table):
+    """A stored test's switching constants, single atoms and full atoms."""
+    singles = [LfdAtom(TailParams(*r[1:]), r[0]) for r in table.single_atoms]
+    fulls = [
+        LfdAtom(ThetaFull(left=TailParams(*r[1:4]), right=TailParams(*r[4:])), r[0])
+        for r in table.full_atoms
+    ]
+    return SwitchConstants(table.rho1, table.rho_r), singles, fulls
+
+
+def _table_entries(ctx, table):
+    """The entries where the stored test's conditions 2 and 3 hold, and its
+    full atoms, composed as ``build_table`` composes them."""
+    switch, singles, fulls = _table_atoms(table)
+    return np.flatnonzero(_single_condition_bits(ctx, singles, switch)), fulls
 
 
 class TestEstimateRp:
@@ -129,10 +159,9 @@ class TestPool:
     def test_proposal_covers_own_draws(self, pool):
         assert np.all(np.isfinite(pool.proposal_logdens))
 
-    def test_effective_sample_size_at_grid_points(self, pool):
-        ctx = _ctx_for(pool, 0.05)
+    def test_effective_sample_size_at_grid_points(self, pool, ctx40):
         for th in pool.components[:: max(1, len(pool.components) // 12)]:
-            w = ctx.weight(th, cache=False)
+            w = ctx40.weight(th, cache=False)
             ess = w.sum() ** 2 / (w * w).sum()
             assert ess >= 0.01 * pool.n
 
@@ -296,13 +325,13 @@ class TestEvaluateConditions:
 
 
 class TestRuntimeAppliesCertifiedTest:
-    def test_decisions_match_solver_bits(self, pool):
+    def test_decisions_match_solver_bits(self, pool, ctx40):
         # the evaluator on the recombined pool entries decides as the solver's
         # stage-4 bits do, wherever no log-denominator lies within the
         # float32 tail cache's reach of the threshold
         table = read_table(DESK)
-        ctx = _ctx_for(pool, table.alpha, table.xi_grid, DEFAULT_NODES)
-        bits = _table_entry_bits(ctx, table) > 0.0
+        ctx = ctx40
+        bits = _table_entry_bits(ctx, *_table_entries(ctx, table)) > 0.0
         singles = [TailParams(*r[1:]) for r in table.single_atoms]
         s_lam = np.array([r[0] for r in table.single_atoms])
         pairs = [(TailParams(*r[1:4]), TailParams(*r[4:])) for r in table.full_atoms]
@@ -326,26 +355,25 @@ class TestRuntimeAppliesCertifiedTest:
         assert 0 < bits[clear].sum() < clear.sum()
         assert np.array_equal(got[clear], bits[clear])
 
-    def test_pool_pairs_are_runtime_gate_passes(self, pool):
+    def test_pool_pairs_are_runtime_gate_passes(self, pool, ctx40):
         # the solver's entries are exactly the recombined pairs, offsets 1..K,
         # on which the runtime's gate holds
         table = read_table(DESK)
-        ctx = _ctx_for(pool, table.alpha, table.xi_grid, DEFAULT_NODES)
         n, K = pool.n, pool.K
         la = np.tile(np.arange(n), K)
         lb = (la + np.repeat(np.arange(1, K + 1), n)) % n
         keep = TestEvaluator(table).condition1(pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb])
         assert 0 < keep.sum() < keep.size
-        assert np.array_equal(ctx.la, la[keep]) and np.array_equal(ctx.lb, lb[keep])
+        assert np.array_equal(ctx40.la, la[keep]) and np.array_equal(ctx40.lb, lb[keep])
 
-    def test_estimate_rp_of_runtime_matches_spot_check(self, pool):
+    def test_estimate_rp_of_runtime_matches_spot_check(self, pool, ctx40):
         # the public estimator applied to the shipped decision rule gives the
         # stage-4 certificate's rate, up to the solver's float32 tail cache
         table = read_table(DESK)
         points = boundary_grid(CFG, 2) + sample_interior(CFG, 10, np.random.default_rng(6))
         points = [points[i] for i in (0, 25, 38)]
         decide = TestEvaluator(table).decide_batch
-        for theta, cert in zip(points, spot_check(table, pool, points)):
+        for theta, cert in zip(points, spot_check(ctx40, *_table_entries(ctx40, table), points)):
             est = estimate_rp(decide, theta, pool)
             assert cert.rp > 0.02
             assert_allclose([est.rp, est.se], [cert.rp, cert.se], rtol=1e-5)
@@ -471,14 +499,15 @@ class TestPrescale:
 
 
 class TestSpotCheck:
-    def test_matches_per_point_reference(self, pool):
+    def test_matches_per_point_reference(self, pool, ctx40):
         table = read_table(DESK)
         points = boundary_grid(CFG, 2) + sample_interior(CFG, 10, np.random.default_rng(6))
         tails = {t.astuple() for th in points for t in (th.left, th.right)}
         assert len(tails) < 2 * len(points)
-        got = spot_check(table, pool, points)
-        ctx = _ctx_for(pool, table.alpha, table.xi_grid, DEFAULT_NODES)
-        bits = _table_entry_bits(ctx, table)
+        ctx = ctx40
+        sub, fulls = _table_entries(ctx, table)
+        got = spot_check(ctx, sub, fulls, points)
+        bits = _table_entry_bits(ctx, sub, fulls)
         want = []
         for th in points:
             u = ctx.weight(th.right, cache=False)
@@ -491,14 +520,13 @@ class TestSpotCheck:
 
 
 class TestSolveSingleTail:
-    def test_smoke_solve_properties(self, pool, caplog):
+    def test_smoke_solve_properties(self, ctx24, caplog):
         sw = SwitchConstants(0.1, 0.1)
         with caplog.at_level(logging.INFO, logger="rtt.solver"):
             atoms = solve_single_tail(
-                CFG, 0.05, pool, sw,
+                ctx24, CFG, sw,
                 heavy_single_candidates(CFG, sw, seed=0), boundary_left_reps(CFG, sw, seed=1),
                 tuning=SolverTuning(max_iter=60, prescale_iter=14),
-                fa_nodes=24,
             )
         assert atoms and all(a.weight > 0 for a in atoms)
         # documented progress format
@@ -506,24 +534,24 @@ class TestSolveSingleTail:
         lines = [r.getMessage() for r in caplog.records]
         assert any(pat.match(ln) for ln in lines)
 
-    def test_fixed_point_band_at_convergence(self, pool):
+    def test_fixed_point_band_at_convergence(self, ctx24):
         # fixed-point property: at convergence the binding check sits inside
-        # [alpha - 3 se, alpha + 2 se] and no check exceeds the upper edge
-        alpha = 0.05
+        # [alpha - 3 se, alpha + 2 se] and no check exceeds the upper edge;
+        # solved and checked on the same context
+        ctx = ctx24
+        alpha = ctx.alpha
         sw = SwitchConstants(0.1, 0.1)
         lefts = boundary_left_reps(CFG, sw, seed=1)
         cands = heavy_single_candidates(CFG, sw, seed=0)
         atoms = solve_single_tail(
-            CFG, alpha, pool, sw, cands, lefts,
+            ctx, CFG, sw, cands, lefts,
             tuning=SolverTuning(max_iter=120, min_iter=25, prescale_iter=14),
-            fa_nodes=24,
         )
-        ctx = _ctx_for(pool, alpha, DEFAULT_XI_GRID, 24)
         from rtt.space import contains
 
         params = [a.theta for a in atoms]
         lam = np.array([a.weight for a in atoms])
-        denom = _SingleDenom(ctx, params, switching_index(pool.y_tail, sw))
+        denom = _SingleDenom(ctx, params, switching_index(ctx.y_tail, sw))
         bits = (denom.denom(lam) < 1.0).astype(np.float32)
         checks = [
             ThetaFull(left=l, right=h)
@@ -539,19 +567,24 @@ class TestSolveSingleTail:
         assert est.rp >= alpha - 3.0 * est.se - 0.01
 
 
-# checksum of the smoke build below; any change to the solver's numerics
-# changes it, so a deliberate change records the new value here
+# checksums of the smoke builds below; any change to the solver's numerics
+# changes them, so a deliberate change records the new values here
 SMOKE_SEED3_CHECKSUM = "13229896ea3cb090b2abd9fa3c2235c9480d88ac7ffe58fd876755e80d4b6daa"
+SMOKE_SEED1_A20_CHECKSUM = "fa90b03551ddc2a0a729222e40cea88b86b7415782fb2935b09f1fa7f91abce9"
+
+
+def _tiny_config():
+    return smoke_build_config(
+        n_draws=4_000, n_xi=3, n_kappa=2, n_eta=2, proposal_per_cell=3,
+        max_pairs=20, spot_boundary_resolution=2, spot_interior=5,
+    )
 
 
 class TestSmokeBuild:
     def test_build_leaves_no_pool_context_behind(self):
         # with the cyclic collector off, a context that outlives the build is
-        # held by a reference cycle (the pool caches its context)
-        config = smoke_build_config(
-            n_draws=4_000, n_xi=3, n_kappa=2, n_eta=2, proposal_per_cell=3,
-            max_pairs=20, spot_boundary_resolution=2, spot_interior=5,
-        )
+        # held by a reference cycle
+        config = _tiny_config()
         gc.collect()
         gc.disable()
         try:
@@ -561,6 +594,24 @@ class TestSmokeBuild:
         finally:
             gc.enable()
         assert not left
+
+    def test_one_context_and_one_single_condition_pass(self, monkeypatch):
+        # the build hands one context to every stage, and stages 3 and 4
+        # share one evaluation of conditions 2 and 3
+        import rtt.solver as solver_mod
+
+        calls = {"ctx": 0, "c23": 0}
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solver_mod, "_PoolCtx", spy("ctx", solver_mod._PoolCtx))
+        monkeypatch.setattr(solver_mod, "_single_condition_bits", spy("c23", solver_mod._single_condition_bits))
+        build_table(_tiny_config())
+        assert calls == {"ctx": 1, "c23": 1}
 
     def test_build_and_metadata(self, caplog):
         with caplog.at_level(logging.INFO, logger="rtt.solver"):
@@ -578,3 +629,7 @@ class TestSmokeBuild:
         assert "spot_max_rp" in meta
         ev = TestEvaluator(table)
         assert not ev.decide(np.zeros(4), np.zeros(4), 0.0)
+
+    def test_build_at_alpha_20(self):
+        table = build_table(smoke_build_config(seed=1, alpha=0.2))
+        assert table_checksum(table) == SMOKE_SEED1_A20_CHECKSUM
