@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .adapters import ClusteredDataset, clustered_ols_w
-from .errors import RttError
+from .errors import InvalidArgument, RttError
 from .harness import parse_design_config, run_experiment
 from .inference import TableSet, confidence_interval, decide, p_value
 from .solver import BuildConfig, build_table, smoke_build_config
@@ -37,11 +37,14 @@ def _read_numbers(path: str, column: str | None) -> np.ndarray:
     if column is None:
         values = []
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise InvalidArgument(f"{path}, line {lineno}: not a number: {line!r}") from None
         return np.asarray(values, dtype=float)
     return _read_csv_columns(path, [column])[column].astype(float)
 
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RttError as exc:
+    except (RttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

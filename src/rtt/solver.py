@@ -42,6 +42,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 from scipy import stats
@@ -910,7 +911,15 @@ def _denom_rows(term: np.ndarray, lam: np.ndarray) -> np.ndarray:
 class TestEvaluator:
     """Vectorized evaluation of a stored composite test on standardized data:
     conditions 2 to 4 hold where their denominators, summed from the solver's
-    terms, are below 1, the rule the table's size was certified with."""
+    terms, are below 1, the rule the table's size was certified with.
+
+    Atoms share tails (the desk table's 717 full atoms use 150 tails, all
+    among its 156 single atoms), so each block of rows makes one f_T and M*
+    kernel call per tail block at the table's distinct tails, ``tails``: the
+    single atoms' tails in table order, then every other full-atom tail.
+    Tails are told apart by their float64 bytes.  The conditions gather
+    their atoms' columns of those grids (``s_col``, ``l_col``, ``r_col``),
+    so every term is the value a per-atom kernel call gives."""
 
     __test__ = False  # not a pytest class
 
@@ -921,17 +930,30 @@ class TestEvaluator:
         self.switch = SwitchConstants(table.rho1, table.rho_r)
         self.xi_grid = tuple(table.xi_grid)
         self.cv_z, self.cv_t = critical_values(table.alpha)
-        # atom columns: weight, then (kappa, eta, xi) of each tail (full: left, right)
-        self.s_atoms = np.asarray(table.single_atoms, dtype=float).reshape(-1, 4).T.copy()
-        self.f_atoms = np.asarray(table.full_atoms, dtype=float).reshape(-1, 7).T.copy()
+        s = np.fromiter(chain.from_iterable(table.single_atoms), float).reshape(-1, 4)
+        f = np.fromiter(chain.from_iterable(table.full_atoms), float).reshape(-1, 7)
+        self.s_lam, self.f_lam = s[:, 0].copy(), f[:, 0].copy()
+        # every atom's (kappa, eta, xi): the single atoms, then each full
+        # atom's left and right tail; distinct rows in first-occurrence order
+        rows = np.concatenate([s[:, 1:], f[:, 1:].reshape(-1, 3)])
+        keys = rows.view(np.dtype((np.void, 24))).ravel()  # one 24-byte key per row
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        col = np.argsort(order)[inverse]
+        self.tails = rows[first[order]].T.copy()
+        self.s_col = col[: s.shape[0]]
+        self.l_col, self.r_col = col[s.shape[0] :].reshape(-1, 2).T.copy()
 
-    def _single_denom(self, heavy: np.ndarray, thin: np.ndarray, y0: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        lf = log_tail_density_multi(heavy, *self.s_atoms[1:])
-        ms = big_m_star_support(heavy[:, -1:], lf, *self.s_atoms[1:])
+    def _tail_grids(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log f_T and M* of the rows ``y`` at every distinct tail."""
+        lf = log_tail_density_multi(y, *self.tails)
+        return lf, big_m_star_support(y[:, -1:], lf, *self.tails)
+
+    def _single_denom(self, lf, ms, thin: np.ndarray, y0: np.ndarray, shift: np.ndarray) -> np.ndarray:
         var = 1.0 + _row_sum(thin * thin)
         base = y0 - _row_sum(thin)
         term = single_tail_log_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
-        return _denom_rows(term, self.s_atoms[0])
+        return _denom_rows(term, self.s_lam)
 
     def condition1(self, y_right, y_left, y0):
         t, cv = gate_values(y_right, y_left, y0, self.cv_z, self.cv_t)
@@ -958,18 +980,19 @@ class TestEvaluator:
         chi_r = switching_index(yrs, self.switch)
         chi_l = switching_index(yls, self.switch)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._single_denom(yrs, yls, y0s, logfa_r + _BOOST * chi_l) < 1.0
-            out &= self._single_denom(yls, yrs, -y0s, logfa_l + _BOOST * chi_r) < 1.0
+            lf_r, ms_r = self._tail_grids(yrs)
+            lf_l, ms_l = self._tail_grids(yls)
+            # gathers keep C order: numpy sums a C-ordered row pairwise, as
+            # in a per-atom grid, but an F-ordered array column by column
+            s = self.s_col
+            out = self._single_denom(lf_r.take(s, 1), ms_r.take(s, 1), yls, y0s, logfa_r + _BOOST * chi_l) < 1.0
+            out &= self._single_denom(lf_l.take(s, 1), ms_l.take(s, 1), yrs, -y0s, logfa_l + _BOOST * chi_r) < 1.0
             sub = np.flatnonzero(out)
             if sub.size:
-                yr, yl = yrs[sub], yls[sub]
-                lf_r = log_tail_density_multi(yr, *self.f_atoms[4:])
-                lf_l = log_tail_density_multi(yl, *self.f_atoms[1:4])
-                ms_r = big_m_star_support(yr[:, -1:], lf_r, *self.f_atoms[4:])
-                ms_l = big_m_star_support(yl[:, -1:], lf_l, *self.f_atoms[1:4])
+                r, cr, cl = sub[:, None], self.r_col, self.l_col
                 shift = (logfa_r[sub] + logfa_l[sub])[:, None]
-                term = joint_log_term(lf_r, lf_l, ms_r, ms_l, y0s[sub, None], 0.0, shift)
-                out[sub] = _denom_rows(term, self.f_atoms[0]) < 1.0
+                term = joint_log_term(lf_r[r, cr], lf_l[r, cl], ms_r[r, cr], ms_l[r, cl], y0s[sub, None], 0.0, shift)
+                out[sub] = _denom_rows(term, self.f_lam) < 1.0
         return out
 
     def decide(self, y_right, y_left, y0: float) -> bool:

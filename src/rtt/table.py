@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -69,12 +70,20 @@ class TestTable:
             raise TableFormatError("field atoms: atom lists must be nonempty")
         if not self.xi_grid:
             raise TableFormatError("field xi_grid: shape grid must be nonempty")
+        if not all(map(math.isfinite, self.xi_grid)):
+            raise TableFormatError("field xi_grid: shapes must be finite")
+        # a finite sum has finite terms, so only a row whose sum is not
+        # finite (or overflows) is checked field by field
         for row in self.single_atoms:
             if len(row) != 4 or row[0] <= 0.0 or row[2] <= 0.0:
                 raise TableFormatError("field S: single atom needs positive weight and scale")
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                raise TableFormatError("field S: single atom fields must be finite")
         for row in self.full_atoms:
             if len(row) != 7 or row[0] <= 0.0 or row[2] <= 0.0 or row[5] <= 0.0:
                 raise TableFormatError("field F: full atom needs positive weight and scales")
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                raise TableFormatError("field F: full atom fields must be finite")
 
     @cached_property
     def _hash(self) -> int:

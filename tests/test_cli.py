@@ -7,6 +7,7 @@ import pytest
 
 import rtt.cli
 from rtt.cli import main
+from rtt.errors import InvalidArgument
 from rtt.solver import smoke_build_config, build_table
 from rtt.table import TestTable, read_table, write_table
 
@@ -112,6 +113,52 @@ class TestCiCommand:
             main(["ci", "--data", "w.txt", "--level", "0.95", *source])
         assert exc.value.code == 2
         assert "--table" in capsys.readouterr().err
+
+
+def _source_args(command, paths, root):
+    if command == "test":
+        return ["--table", str(paths[0.05])]
+    if command == "pvalue":
+        return ["--tables", str(root)]
+    return ["--level", "0.95", "--table", str(paths[0.05])]
+
+
+class TestInputErrors:
+    """Bad input files are reported as ``error: ...`` with exit code 1."""
+
+    @pytest.mark.parametrize("command", ["test", "pvalue", "ci"])
+    def test_non_numeric_line_names_file_and_line(self, command, tmp_path, smoke_tables, capsys):
+        root, paths = smoke_tables
+        data = tmp_path / "w.txt"
+        data.write_text("# header\n0.5\n1,5\n2.0\n")
+        assert main([command, "--data", str(data), *_source_args(command, paths, root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{data}, line 3" in err and "'1,5'" in err
+
+    def test_non_numeric_line_is_invalid_argument(self, tmp_path):
+        data = tmp_path / "w.txt"
+        data.write_text("1.0\nabc\n")
+        with pytest.raises(InvalidArgument, match="line 2"):
+            rtt.cli._read_numbers(str(data), None)
+
+    @pytest.mark.parametrize("command", ["test", "pvalue", "ci"])
+    def test_missing_data_file(self, command, tmp_path, smoke_tables, capsys):
+        root, paths = smoke_tables
+        missing = tmp_path / "absent.txt"
+        assert main([command, "--data", str(missing), *_source_args(command, paths, root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("command", ["test", "pvalue", "ci"])
+    def test_missing_table_file(self, command, tmp_path, capsys):
+        data = tmp_path / "w.txt"
+        data.write_text("\n".join(str(float(i)) for i in range(60)))
+        missing = tmp_path / "absent.rtt"
+        flag = "--tables" if command == "pvalue" else "--table"
+        extra = ["--level", "0.95"] if command == "ci" else []
+        assert main([command, "--data", str(data), *extra, flag, str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
 
 class TestRegressCommand:

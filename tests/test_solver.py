@@ -12,8 +12,15 @@ from numpy.testing import assert_allclose
 
 from rtt.errors import CalibrationError, InvalidArgument
 from rtt.fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
-from rtt.gev import TailParams, log_tail_density, log_tail_density_multi
-from rtt.model import ThetaFull, big_m_star, big_m_star_support, log_joint_density_parts
+from rtt.gev import TailParams, _row_sum, log_tail_density, log_tail_density_multi
+from rtt.model import (
+    ThetaFull,
+    big_m_star,
+    big_m_star_support,
+    joint_log_term,
+    log_joint_density_parts,
+    single_tail_log_term,
+)
 from rtt.solver import (
     DEFAULT_LADDER,
     IsPool,
@@ -23,6 +30,7 @@ from rtt.solver import (
     TestEvaluator,
     _BOOST,
     _DECIDE_CHUNK,
+    _denom_rows,
     _iterate_lfd,
     _PairDenom,
     _PoolCtx,
@@ -415,6 +423,137 @@ class TestRuntimeAppliesCertifiedTest:
         base = TestEvaluator(desk).decide_batch(yr, yl, y0)
         assert base.sum() > 0
         assert np.array_equal(TestEvaluator(padded).decide_batch(yr, yl, y0), base)
+
+
+def _per_atom_decisions(table, yr, yl, y0):
+    """``decide_batch`` with one kernel column per atom, the formula the
+    evaluator used before atoms with equal tails shared columns: decisions,
+    and every (rows, atoms) term with its denominators, in the order the
+    evaluator sums them."""
+    s = np.asarray(table.single_atoms, dtype=float).T
+    f = np.asarray(table.full_atoms, dtype=float).T
+    switch = SwitchConstants(table.rho1, table.rho_r)
+
+    def single(heavy, thin, y0, shift):
+        lf = log_tail_density_multi(heavy, *s[1:])
+        ms = big_m_star_support(heavy[:, -1:], lf, *s[1:])
+        var = 1.0 + _row_sum(thin * thin)
+        base = y0 - _row_sum(thin)
+        return single_tail_log_term(lf, ms, base[:, None], var[:, None], np.log(var)[:, None], shift[:, None])
+
+    out = TestEvaluator(table).condition1(yr, yl, y0)
+    passing = np.flatnonzero(out)
+    terms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, passing.size, _DECIDE_CHUNK):
+            idx = passing[lo : lo + _DECIDE_CHUNK]
+            r, l, d = yr[idx], yl[idx], y0[idx]
+            fa_r = log_f_a_single(r, table.xi_grid, DEFAULT_NODES)
+            fa_l = log_f_a_single(l, table.xi_grid, DEFAULT_NODES)
+            t2 = single(r, l, d, fa_r + _BOOST * switching_index(l, switch))
+            t3 = single(l, r, -d, fa_l + _BOOST * switching_index(r, switch))
+            d2, d3 = _denom_rows(t2, s[0]), _denom_rows(t3, s[0])
+            terms += [(t2, d2), (t3, d3)]
+            ok = (d2 < 1.0) & (d3 < 1.0)
+            sub = np.flatnonzero(ok)
+            if sub.size:
+                lf_r = log_tail_density_multi(r[sub], *f[4:])
+                lf_l = log_tail_density_multi(l[sub], *f[1:4])
+                ms_r = big_m_star_support(r[sub, -1:], lf_r, *f[4:])
+                ms_l = big_m_star_support(l[sub, -1:], lf_l, *f[1:4])
+                t4 = joint_log_term(lf_r, lf_l, ms_r, ms_l, d[sub, None], 0.0, (fa_r[sub] + fa_l[sub])[:, None])
+                terms.append((t4, _denom_rows(t4, f[0])))
+                ok[sub] = terms[-1][1] < 1.0
+            out[idx] = ok
+    return out, terms
+
+
+def _evaluator_rows(seed, m=300):
+    rng = np.random.default_rng(seed)
+    yr = np.sort(rng.exponential(size=(m, 4)), axis=1)[:, ::-1] * 0.3
+    yl = np.sort(rng.exponential(size=(m, 4)), axis=1)[:, ::-1] * 0.1
+    return yr, yl, rng.standard_normal(m) * 3.0
+
+
+class TestDistinctTailColumns:
+    """The evaluator computes log f_T and M* once per distinct tail and
+    gathers each atom's columns; every term stays the per-atom value."""
+
+    @staticmethod
+    def _tables():
+        desk = read_table(DESK)
+        # every other single atom: many full-atom tails are then no single
+        # atom's tail, and condition 4 with the weights raised 1e20-fold
+        # decides some rows that conditions 2 and 3 pass
+        sparse = replace(
+            desk,
+            single_atoms=desk.single_atoms[::2],
+            full_atoms=tuple((1e20 * r[0], *r[1:]) for r in desk.full_atoms),
+        )
+        return desk, sparse
+
+    def test_terms_and_decisions_match_per_atom_reference(self, monkeypatch):
+        import rtt.solver as solver_mod
+
+        yr, yl, y0 = _evaluator_rows(11)
+        for table in self._tables():
+            want, want_terms = _per_atom_decisions(table, yr, yl, y0)
+            got_terms = []
+
+            def spy(term, lam):
+                got_terms.append((term, _denom_rows(term, lam)))
+                return got_terms[-1][1]
+
+            monkeypatch.setattr(solver_mod, "_denom_rows", spy)
+            got = TestEvaluator(table).decide_batch(yr, yl, y0)
+            monkeypatch.undo()
+            assert 0 < want.sum() < TestEvaluator(table).condition1(yr, yl, y0).sum()
+            assert np.array_equal(got, want)
+            assert len(got_terms) == len(want_terms) > 4
+            # the sums too: numpy sums a C-ordered row pairwise and an
+            # F-ordered array column by column
+            for (a, da), (b, db) in zip(got_terms, want_terms):
+                assert a.flags.c_contiguous and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert da.tobytes() == db.tobytes()
+        desk, sparse = self._tables()
+        assert TestEvaluator(sparse).tails.shape[1] > len(sparse.single_atoms)
+        # the raised weights make condition 4 decide some rows
+        c23 = _per_atom_decisions(replace(sparse, full_atoms=desk.full_atoms), yr, yl, y0)[0]
+        assert np.any(c23 & ~_per_atom_decisions(sparse, yr, yl, y0)[0])
+
+    def test_two_kernel_calls_per_block_at_the_distinct_tails(self, monkeypatch):
+        import rtt.solver as solver_mod
+
+        calls = []
+
+        def spy(y, kappa, eta, xi):
+            calls.append((np.atleast_2d(y).shape[0], np.asarray(kappa).size))
+            return log_tail_density_multi(y, kappa, eta, xi)
+
+        desk = read_table(DESK)
+        ev = TestEvaluator(desk)
+        yr, yl, y0 = _evaluator_rows(12)
+        blocks = -(-int(ev.condition1(yr, yl, y0).sum()) // _DECIDE_CHUNK)
+        monkeypatch.setattr(solver_mod, "log_tail_density_multi", spy)
+        ev.decide_batch(yr, yl, y0)
+        assert ev.tails.shape == (3, 156) and blocks >= 2
+        assert len(calls) == 2 * blocks
+        assert {cols for _, cols in calls} == {156}
+        assert sum(rows for rows, _ in calls) == 2 * ev.condition1(yr, yl, y0).sum()
+
+    def test_signed_zeros_are_distinct_tails(self):
+        plus, minus = (0.0, 0.05, 0.0), (-0.0, 0.05, 0.0)
+        table = TestTable(
+            k=4, n0=50, alpha=0.05, rho1=0.1, rho_r=0.1,
+            single_atoms=((0.01, *plus), (0.02, *minus), (0.03, *plus)),
+            full_atoms=((0.01, *minus, *plus), (0.01, 3.0, 0.05, 0.0, *minus)),
+            xi_grid=DEFAULT_XI_GRID,
+        )
+        ev = TestEvaluator(table)
+        assert ev.tails.shape == (3, 3)
+        assert list(np.signbit(ev.tails[0])) == [False, True, False]
+        assert list(ev.s_col) == [0, 1, 0]
+        assert list(ev.l_col) == [1, 2] and list(ev.r_col) == [0, 1]
 
 
 class TestNeymanPearsonOracle:

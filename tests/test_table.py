@@ -148,6 +148,32 @@ class TestErrors:
                 xi_grid=(0.0,),
             )
 
+    def test_non_finite_atom_or_shape_rejected(self):
+        # a NaN weight passes the positivity checks (nan <= 0 is false) and
+        # would make every denominator NaN, so condition 2 would never hold
+        lines = dumps_table(random_table(np.random.default_rng(11))).splitlines()
+        first_s = next(i for i, line in enumerate(lines) if line.startswith("S "))
+        lines[first_s] = "S nan 0.1 inf 0.2"
+        with pytest.raises(TableFormatError, match="field S: .*finite"):
+            loads_table("\n".join(lines))
+        base = dict(
+            k=4, n0=50, alpha=0.05, rho1=0.1, rho_r=0.1,
+            single_atoms=((1.0, 0.0, 1.0, 0.0),),
+            full_atoms=((1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0),),
+            xi_grid=(0.0,),
+        )
+        TestTable(**base)
+        TestTable(**{**base, "single_atoms": ((1e308, 1e308, 1.0, 0.0),)})  # finite, sum overflows
+        bad = (
+            ("S", dict(single_atoms=((1.0, float("-inf"), 1.0, 0.0),))),
+            ("F", dict(full_atoms=((1.0, 0.0, 1.0, 0.0, 0.0, 1.0, float("nan")),))),
+            ("F", dict(full_atoms=((float("inf"), 0.0, 1.0, 0.0, 0.0, 1.0, 0.0),))),
+            ("xi_grid", dict(xi_grid=(0.0, float("nan")))),
+        )
+        for field, change in bad:
+            with pytest.raises(TableFormatError, match=f"field {field}: .*finite"):
+                TestTable(**{**base, **change})
+
     def test_unknown_record_type(self):
         t = random_table(np.random.default_rng(10))
         lines = dumps_table(t).splitlines()
