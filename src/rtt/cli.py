@@ -28,25 +28,33 @@ import numpy as np
 from .adapters import ClusteredDataset, clustered_ols_w
 from .errors import InvalidArgument, RttError
 from .harness import parse_design_config, run_experiment
-from .inference import TableSet, confidence_interval, decide, p_value
+from .inference import _LEVEL_TOL, TableSet, confidence_interval, decide, p_value
 from .solver import BuildConfig, build_table, smoke_build_config
 from .table import read_table, write_table
 
 
+def _floats(path: str, where: str, cells) -> np.ndarray:
+    """Numbers of (position, text) pairs; a bad one is reported as
+    ``<path>, <where> <position>``."""
+    values = []
+    for pos, cell in cells:
+        try:
+            values.append(float(cell))
+        except (TypeError, ValueError):  # a short CSV row's missing cell is None
+            raise InvalidArgument(f"{path}, {where} {pos}: not a number: {cell!r}") from None
+    return np.asarray(values, dtype=float)
+
+
+def _csv_floats(path: str, data: dict[str, np.ndarray], column: str) -> np.ndarray:
+    return _floats(path, f"column {column!r}, data row", enumerate(data[column].tolist(), start=1))
+
+
 def _read_numbers(path: str, column: str | None) -> np.ndarray:
-    if column is None:
-        values = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise InvalidArgument(f"{path}, line {lineno}: not a number: {line!r}") from None
-        return np.asarray(values, dtype=float)
-    return _read_csv_columns(path, [column])[column].astype(float)
+    if column is not None:
+        return _csv_floats(path, _read_csv_columns(path, [column]), column)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(fh, start=1)]
+    return _floats(path, "line", [(i, ln) for i, ln in lines if ln and not ln.startswith("#")])
 
 
 def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
@@ -58,10 +66,7 @@ def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
             if col not in reader.fieldnames:
                 raise RttError(f"{path}: no column named {col!r}; have {reader.fieldnames}")
         rows = list(reader)
-    out = {}
-    for col in columns:
-        out[col] = np.asarray([row[col] for row in rows])
-    return out
+    return {col: np.asarray([row[col] for row in rows]) for col in columns}
 
 
 def _print_kv(**kv):
@@ -72,7 +77,7 @@ def _print_kv(**kv):
 def _cmd_test(args) -> int:
     w = _read_numbers(args.data, args.column)
     table = read_table(args.table)
-    if args.alpha is not None and abs(table.alpha - args.alpha) > 1e-9:
+    if args.alpha is not None and abs(table.alpha - args.alpha) > _LEVEL_TOL:
         print(f"error: table holds alpha={table.alpha:g}, requested {args.alpha:g}", file=sys.stderr)
         return 2
     dec = decide(w, args.mu0, table)
@@ -133,11 +138,11 @@ def _cmd_regress(args) -> int:
     data = _read_csv_columns(args.data, columns + controls)
     n = data[args.y].size
     ctrl = np.column_stack(
-        [np.ones(n)] + [data[c].astype(float) for c in controls]
+        [np.ones(n)] + [_csv_floats(args.data, data, c) for c in controls]
     )
     dataset = ClusteredDataset(
-        y=data[args.y].astype(float),
-        x=data[args.x].astype(float),
+        y=_csv_floats(args.data, data, args.y),
+        x=_csv_floats(args.data, data, args.x),
         controls=ctrl,
         clusters=data[args.cluster],
     )

@@ -1,11 +1,12 @@
 """Runtime inference: sample summaries, decisions, p-values, intervals.
 
-A raw sample is reduced to the standardized statistic (both extreme blocks
-plus the scaled middle sum) and evaluated against a stored test table.
-P-values come from a nested family of tables over a level grid; confidence
-intervals from test inversion on a deterministic grid whose two endpoints are
-refined together, several bisection levels per batched decision call, taking
-exactly the steps of one-point-per-call bisection.
+A raw sample is summarized once, at mean 0, and ``_rows``, the one
+standardization, shifts the summary to any hypothesized mean, so decisions,
+p-values and intervals decide the same rows at the same mean.  P-values come
+from a nested family of tables over a level grid; confidence intervals from
+test inversion on a deterministic grid whose two endpoints are refined
+together, several bisection levels per batched decision call, taking exactly
+the steps of one-point-per-call bisection.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class SampleSummary:
 
 
 def summarize(w, k: int, mu0: float = 0.0) -> SampleSummary:
-    """Shift by the hypothesized mean, split off both k-tails, summarize."""
+    """Shift by ``mu0``, split off both k-tails, summarize (the runtime
+    summarizes at 0 only; ``_rows`` moves the summary to other means)."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise InvalidArgument("sample must be one-dimensional")
@@ -75,10 +77,22 @@ def summarize(w, k: int, mu0: float = 0.0) -> SampleSummary:
     )
 
 
-def to_ystar(s: SampleSummary) -> YStar:
-    """Scale all blocks by the middle-sample standard deviation norm."""
+def _rows(s: SampleSummary, mu0s):
+    """(y_right, y_left, y0) of ``s`` shifted affinely to the mean or array of
+    means ``mu0s``: one row, or one per mean, each equal bit for bit to its
+    row in any array; a Python number takes the cheap float path."""
     d = s.denom
-    return YStar(y_right=s.w_right / d, y_left=s.w_left_neg / d, y0=s.middle_sum / d)
+    if isinstance(mu0s, (float, int)):
+        shift = col = mu0s / d
+    else:
+        shift = np.asarray(mu0s, dtype=float) / d
+        col = shift[..., None]
+    return s.w_right / d - col, s.w_left_neg / d + col, s.middle_sum / d - (s.n - 2 * s.k) * shift
+
+
+def to_ystar(s: SampleSummary) -> YStar:
+    """The standardized statistic of the summary at its own mean."""
+    return YStar(*_rows(s, 0.0))
 
 
 @lru_cache(maxsize=16)
@@ -95,16 +109,16 @@ class Decision:
     notes: tuple[str, ...] = ()
 
 
-def _standardize(w, mu0: float, table: TestTable) -> tuple[YStar, tuple[str, ...]]:
-    """Standardized statistic of the sample at mu0, plus the note (also
-    warned once) that the sample is shorter than the table's design horizon."""
-    s = summarize(w, table.k, mu0)
+def _standardize(w, table: TestTable) -> tuple[SampleSummary, tuple[str, ...]]:
+    """The sample's summary for ``table``'s k, plus the note (also warned
+    once) that the sample is shorter than the table's design horizon."""
+    s = summarize(w, table.k)
     notes = ()
     if s.n < table.n0:
         msg = f"sample size {s.n} is below the table's design horizon n0={table.n0}"
         warnings.warn(msg)
         notes = (msg,)
-    return to_ystar(s), notes
+    return s, notes
 
 
 def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables) -> np.ndarray:
@@ -122,9 +136,10 @@ def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables) -> np.ndarra
 def decide(w, mu0: float, table: TestTable) -> Decision:
     """Apply the stored test to H0: mean = mu0 for the given sample."""
     ev = _evaluator(table)
-    y, notes = _standardize(w, mu0, table)
-    t, cv = gate_values(y.y_right, y.y_left, y.y0, ev.cv_z, ev.cv_t)
-    reject = bool(ev.decide(y.y_right, y.y_left, y.y0))
+    s, notes = _standardize(w, table)
+    rows = _rows(s, mu0)
+    t, cv = gate_values(*rows, ev.cv_z, ev.cv_t)
+    reject = bool(ev.decide_batch(*rows)[0])
     return Decision(
         reject=reject, t_statistic=float(t[0]), critical_value=float(cv[0]),
         alpha=table.alpha, notes=notes,
@@ -136,7 +151,8 @@ class TableSet:
 
     The effective test at a grid level rejects only if every stored test at
     that level or above rejects, which makes p-values coherent with levels
-    and confidence intervals nested across levels by construction.
+    and confidence intervals nested across levels by construction; all of
+    them standardize with ``_rows``, so they agree at every interval end.
     """
 
     def __init__(self, tables):
@@ -177,16 +193,15 @@ class TableSet:
     def raw_decisions(self, w, mu0: float) -> list[bool]:
         """Each table's own decision, without the nested rule; the tables
         share k and n0, so the sample is standardized (and warned about) once."""
-        y, _ = _standardize(w, mu0, self.tables[0])
-        return [bool(_evaluator(t).decide(y.y_right, y.y_left, y.y0)) for t in self.tables]
+        rows = _rows(_standardize(w, self.tables[0])[0], mu0)
+        return [bool(_evaluator(t).decide_batch(*rows)[0]) for t in self.tables]
 
     def nested_reject(self, w, mu0: float, alpha: float) -> bool:
         """Reject at alpha only if all tests at levels >= alpha reject."""
         tables = [t for t in self.tables if t.alpha + _LEVEL_TOL >= alpha]
         if not tables:
             raise ConfigurationError(f"no table at level >= {alpha}")
-        y, _ = _standardize(w, mu0, tables[0])
-        return bool(_nested(y.y_right[None, :], y.y_left[None, :], np.array([y.y0]), tables)[0])
+        return bool(_nested(*_rows(_standardize(w, tables[0])[0], [mu0]), tables)[0])
 
 
 @dataclass(frozen=True)
@@ -207,13 +222,12 @@ def p_value(w, mu0: float, tables: TableSet) -> PValueResult:
     """Scan levels from the largest down while the tests keep rejecting."""
     if not isinstance(tables, TableSet):
         tables = TableSet(tables)
-    y, _ = _standardize(w, mu0, tables.tables[0])
+    rows = _rows(_standardize(w, tables.tables[0])[0], mu0)
     smallest = None
     for t in reversed(tables.tables):
-        if _evaluator(t).decide(y.y_right, y.y_left, y.y0):
-            smallest = t.alpha
-        else:
+        if not _evaluator(t).decide_batch(*rows)[0]:
             break
+        smallest = t.alpha
     if smallest is None:
         return PValueResult(value=tables.alphas[-1], exceeds_max=True)
     return PValueResult(value=smallest)
@@ -223,21 +237,6 @@ CI_GRID_POINTS = 512
 CI_SPAN_RANGES = 10.0
 _BISECT_ITER = 80
 _BISECT_DEPTH = 3
-
-
-def _decide_grid(s: SampleSummary, mu0s: np.ndarray, tables: list[TestTable]) -> np.ndarray:
-    """Vectorized nested decisions over a grid of hypothesized means.
-
-    Shifting the hypothesized mean moves every block affinely, so a single
-    summary at mu0 = 0 generates the whole family.  A mean is rejected only
-    where every given table rejects it (the nested rule as a cumulative AND).
-    """
-    d = s.denom
-    shift = np.asarray(mu0s, dtype=float) / d
-    yr = s.w_right[None, :] / d - shift[:, None]
-    yl = s.w_left_neg[None, :] / d + shift[:, None]
-    y0 = s.middle_sum / d - (s.n - 2 * s.k) * shift
-    return _nested(yr, yl, y0, tables)
 
 
 def _bisection_tree(a_rej: float, b_acc: float, depth: int) -> list[float]:
@@ -269,7 +268,7 @@ def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[
     while live and used < _BISECT_ITER:
         depth = min(_BISECT_DEPTH, _BISECT_ITER - used)
         trees = [_bisection_tree(*brackets[i], depth) for i in live]
-        rejected = _decide_grid(s, np.ravel(trees), tables).reshape(len(live), -1)
+        rejected = _nested(*_rows(s, np.ravel(trees)), tables).reshape(len(live), -1)
         used += depth
         unsettled = []
         for i, mids, rej in zip(live, trees, rejected):
@@ -304,10 +303,10 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     span = CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
     if span <= 0.0:
         raise DegenerateSample("sample has zero range")
-    s = summarize(w, at.k, 0.0)
+    s = summarize(w, at.k)
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        reject = _decide_grid(s, grid, tables)
+        reject = _nested(*_rows(s, grid), tables)
         accept = np.flatnonzero(~reject)
         if accept.size:
             break

@@ -573,15 +573,15 @@ def proposal_region(
 class SolverTuning:
     """Iteration schedule of the multiplicative weight updates."""
 
-    step_c: float = 5.0
     margin_se: float = 0.5
     max_iter: int = 200
     min_iter: int = 3
-    prune_rel: float = 1e-12
-    max_log_step: float = 0.7
     prescale_iter: int = 24
 
 
+_STEP_C = 5.0  # log-weight step per unit of an atom's worst violation of alpha
+_MAX_LOG_STEP = 0.7  # cap on one update's log step (a decay is capped at half)
+_PRUNE_REL = 1e-12  # atoms lighter than this share of the heaviest are dropped
 _EXP_CAP = 50.0  # cap on per-atom log terms; beyond it the mixture dominates 1
 _BOOST = 5.0  # single-tail conditions soften by exp(_BOOST * chi) of the other tail
 _GATHER_CACHE_BUDGET = 4e8  # bytes of float32 weight gathers a sweep may keep
@@ -765,9 +765,9 @@ def _iterate_lfd(
         v = np.full(n_atoms, -np.inf)
         np.maximum.at(v, atom_of_check, rp)
         v[~np.isfinite(v)] = 0.0
-        raw = tuning.step_c * (v - alpha)
+        raw = _STEP_C * (v - alpha)
         step = np.where(raw >= 0.0, raw, 0.25 * raw)
-        step = np.clip(step, -0.5 * tuning.max_log_step, tuning.max_log_step)
+        step = np.clip(step, -0.5 * _MAX_LOG_STEP, _MAX_LOG_STEP)
         lam *= np.exp(step)
     rp = sweep.rp(bits_of(denom(lam)))
     order = np.argsort(rp)[::-1][:5]
@@ -809,7 +809,7 @@ def solve_single_tail(
     lam = _iterate_lfd(
         2, denom.denom, sweep, np.asarray(atom_of_check), ctx.alpha, tuning, len(candidates), started
     )
-    keep = lam > tuning.prune_rel * lam.max()
+    keep = lam > _PRUNE_REL * lam.max()
     return [
         LfdAtom(theta=t, weight=float(w))
         for t, w, kp in zip(candidates, lam, keep)
@@ -892,7 +892,7 @@ def solve_two_tail(
         3, lambda w: pair_denom.denom(half * w[of_pair]),
         sweep, np.arange(len(pairs)), ctx.alpha, tuning, len(pairs), started,
     )
-    keep = lam > tuning.prune_rel * lam.max()
+    keep = lam > _PRUNE_REL * lam.max()
     return [
         LfdAtom(theta=ThetaFull(left=left, right=right), weight=float(h * lam[p]))
         for (left, right), p, h in zip(ordered, of_pair, half)
@@ -995,9 +995,6 @@ class TestEvaluator:
                 out[sub] = _denom_rows(term, self.f_lam) < 1.0
         return out
 
-    def decide(self, y_right, y_left, y0: float) -> bool:
-        return bool(self.decide_batch(y_right, y_left, [y0])[0])
-
 
 # ---------------------------------------------------------------------------
 # stage 4 spot check
@@ -1051,9 +1048,9 @@ class BuildConfig:
     """All knobs of the four-stage construction.
 
     The table keeps k, n0 and alpha, and its metadata seed, n_draws,
-    recombine, fa_nodes, the n_xi x n_kappa x n_eta grid, step_c, margin_se
-    and max_iter; its shape grid is ``DEFAULT_XI_GRID``.  proposal_per_cell,
-    eta_decades, ladder, max_pairs, the spot_* settings and the other tuning
+    recombine, fa_nodes, the n_xi x n_kappa x n_eta grid, step_c (the
+    constant ``_STEP_C``), margin_se and max_iter.  Stage 1 searches
+    ``DEFAULT_LADDER``; the shape grid is ``DEFAULT_XI_GRID``.  The other
     fields are not recorded."""
 
     k: int = 4
@@ -1068,7 +1065,6 @@ class BuildConfig:
     n_eta: int = 4
     proposal_per_cell: int = 8
     eta_decades: float = 3.0
-    ladder: tuple[tuple[float, float], ...] = DEFAULT_LADDER
     tuning: SolverTuning = field(default_factory=SolverTuning)
     max_pairs: int = 420
     spot_boundary_resolution: int = 3
@@ -1103,9 +1099,7 @@ def build_table(config: BuildConfig):
     from .table import TestTable
 
     cfg = SpaceConfig(n0=config.n0, k=config.k)
-    switch = calibrate_switching_direct(
-        cfg, config.alpha, ladder=config.ladder, seed=config.seed + 1
-    )
+    switch = calibrate_switching_direct(cfg, config.alpha, seed=config.seed + 1)
     candidates = heavy_single_candidates(
         cfg, switch, config.n_xi, config.n_kappa, config.n_eta, seed=config.seed + 2
     )
@@ -1137,7 +1131,7 @@ def build_table(config: BuildConfig):
         ("seed", str(config.seed)),
         ("n_draws", str(config.n_draws)),
         ("recombine", str(config.recombine)),
-        ("step_c", repr(config.tuning.step_c)),
+        ("step_c", repr(_STEP_C)),
         ("margin_se", repr(config.tuning.margin_se)),
         ("max_iter", str(config.tuning.max_iter)),
         ("fa_nodes", str(config.fa_nodes)),

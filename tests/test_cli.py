@@ -135,6 +135,19 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{data}, line 3" in err and "'1,5'" in err
 
+    @pytest.mark.parametrize("command", ["test", "regress"])
+    def test_non_numeric_csv_cell_names_file_column_and_row(self, command, tmp_path, smoke_tables, capsys):
+        root, paths = smoke_tables
+        data = tmp_path / "d.csv"
+        data.write_text("value,x,cl\n0.5,1.0,1\nabc,2.0,2\n2.0,3.0,3\n")
+        if command == "test":
+            args = ["test", "--column", "value"]
+        else:
+            args = ["regress", "--y", "value", "--x", "x", "--cluster", "cl"]
+        assert main([*args, "--data", str(data), "--table", str(paths[0.05])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{data}, column 'value', data row 2: not a number: 'abc'" in err
+
     def test_non_numeric_line_is_invalid_argument(self, tmp_path):
         data = tmp_path / "w.txt"
         data.write_text("1.0\nabc\n")

@@ -16,16 +16,20 @@ from rtt.inference import (
     CI_GRID_POINTS,
     PValueResult,
     TableSet,
-    _decide_grid,
+    _nested,
+    _rows,
     confidence_interval,
     decide,
     p_value,
     summarize,
     to_ystar,
 )
+from rtt.populations import make_population, population_names
 from rtt.table import TestTable, read_table
 
-DESK = Path(__file__).resolve().parents[1] / "tables" / "desk_k4_a05.rtt"
+ROOT = Path(__file__).resolve().parents[1]
+DESK = ROOT / "tables" / "desk_k4_a05.rtt"
+SMOKE = [ROOT / "perfbench" / "data" / f"smoke_k4_a{a}.rtt" for a in ("10", "20")]
 
 
 def gate_only_table(alpha=0.05, k=4, lam=1e-250):
@@ -48,12 +52,12 @@ def sequential_ci(w, level, source):
     tset = source if isinstance(source, TableSet) else TableSet([source])
     at = tset.table_at(1.0 - level)
     tables = [t for t in tset.tables if t.alpha >= at.alpha]
-    s = summarize(w, at.k, 0.0)
+    s = summarize(w, at.k)
     center = float(w.mean())
     span = inference.CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        accept = np.flatnonzero(~_decide_grid(s, grid, tables))
+        accept = np.flatnonzero(~_nested(*_rows(s, grid), tables))
         if accept.size:
             break
 
@@ -62,7 +66,7 @@ def sequential_ci(w, level, source):
             mid = 0.5 * (a_rej + b_acc)
             if mid == a_rej or mid == b_acc:
                 break
-            if _decide_grid(s, np.array([mid]), tables)[0]:
+            if _nested(*_rows(s, [mid]), tables)[0]:
                 a_rej = mid
             else:
                 b_acc = mid
@@ -115,6 +119,24 @@ class TestSummarize:
             assert_allclose(scaled.y_right, base.y_right, rtol=1e-9)
             assert_allclose(scaled.y_left, base.y_left, rtol=1e-9)
             assert_allclose(scaled.y0, base.y0, rtol=1e-9)
+
+    def test_to_ystar_is_the_rows_at_zero(self):
+        # the benchmark's recorded rows come from to_ystar: they must stay the
+        # plain scaled blocks, and equal _rows' row at 0 of any grid; a single
+        # mean's row equals its row of a grid at every other mean too
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            s = summarize(rng.standard_t(3, size=50) + rng.normal(), 4)
+            y = to_ystar(s)
+            d = s.denom
+            means = np.array([-0.3, 0.0, 1e-3, 0.7])
+            yr, yl, y0 = _rows(s, means)
+            for got, want in ((y.y_right, s.w_right / d), (y.y_left, s.w_left_neg / d), (y.y0, s.middle_sum / d)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(yr[1], y.y_right) and np.array_equal(yl[1], y.y_left) and y0[1] == y.y0
+            for i, m in enumerate(means):
+                one = _rows(s, float(m))
+                assert np.array_equal(one[0], yr[i]) and np.array_equal(one[1], yl[i]) and one[2] == y0[i]
 
     def test_sign_flip_swaps_blocks(self):
         rng = np.random.default_rng(4)
@@ -270,8 +292,12 @@ class TestConfidenceInterval:
         for alpha in tables.alphas:
             nested = [t for t in tables.tables if t.alpha >= alpha]
             want = [tables.nested_reject(w, float(m), alpha) for m in grid]
-            assert np.array_equal(_decide_grid(summarize(w, tables.k, 0.0), grid, nested), want)
+            assert np.array_equal(_nested(*_rows(summarize(w, tables.k), grid), nested), want)
             assert 0 < sum(want) < grid.size
+            pvals = [p_value(w, float(m), tables) for m in grid]
+            assert [not p.exceeds_max and p.value <= alpha for p in pvals] == want
+        # the last level is the top table's, whose nested rule is its own test
+        assert [decide(w, float(m), tables.tables[-1]).reject for m in grid] == want
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(15)
@@ -315,6 +341,29 @@ class TestConfidenceInterval:
         assert lo == float(w.mean()) - 0.375 * float(np.ptp(w)) / math.sqrt(w.size)
         assert hi < float(w.mean()) + 0.375 * float(np.ptp(w)) / math.sqrt(w.size)
         assert (lo, hi) == sequential_ci(w, 0.95, TBL)
+
+    def test_endpoints_decide_as_the_interval_does(self):
+        # each endpoint is accepted by the test it inverts, and its outward
+        # neighbouring double, the refined bracket's rejected end, is rejected
+        desk = read_table(DESK)
+        tset = TableSet([desk, *map(read_table, SMOKE)])
+        rng = np.random.default_rng(0)
+        names = population_names()
+        for i in range(10):
+            w = make_population(names[i % len(names)]).draw(rng, 50) + rng.normal(0.0, 0.35)
+            span = inference.CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
+            for level, source in ((0.95, desk), (0.80, tset)):
+                lo, hi = confidence_interval(w, level, source)
+                assert float(w.mean()) - span < lo < hi < float(w.mean()) + span  # both refined
+                for end, outward in ((lo, -np.inf), (hi, np.inf)):
+                    out = float(np.nextafter(end, outward))
+                    if source is desk:
+                        assert not decide(w, end, desk).reject
+                        assert decide(w, out, desk).reject
+                    else:
+                        assert not tset.nested_reject(w, end, 0.20)
+                        assert p_value(w, end, tset).exceeds_max
+                        assert tset.nested_reject(w, out, 0.20)
 
     def test_level_must_match_table(self):
         rng = np.random.default_rng(16)

@@ -236,7 +236,7 @@ class TestEvaluateConditions:
             full_atoms=((1.0, 3.0, 0.05, 0.0, 3.0, 0.05, 0.0),),
             xi_grid=DEFAULT_XI_GRID,
         )
-        assert not TestEvaluator(table).decide(np.zeros(4), np.zeros(4), 0.0)
+        assert not TestEvaluator(table).decide_batch(np.zeros(4), np.zeros(4), [0.0])[0]
 
     def test_blended_cv_at_zero_tails(self):
         cv_z, cv_t = critical_values(0.05)
@@ -328,7 +328,7 @@ class TestEvaluateConditions:
         batch = ev.decide_batch(yr, yl, y0)
         assert ev.condition1(yr, yl, y0).sum() > _DECIDE_CHUNK
         assert 0 < batch.sum() < ev.condition1(yr, yl, y0).sum()
-        per_row = [ev.decide(yr[i], yl[i], y0[i]) for i in range(300)]
+        per_row = [ev.decide_batch(yr[i], yl[i], y0[i : i + 1])[0] for i in range(300)]
         assert np.array_equal(batch, per_row)
 
 
@@ -767,7 +767,7 @@ class TestSmokeBuild:
         assert int(meta["spot_points"]) > 20
         assert "spot_max_rp" in meta
         ev = TestEvaluator(table)
-        assert not ev.decide(np.zeros(4), np.zeros(4), 0.0)
+        assert not ev.decide_batch(np.zeros(4), np.zeros(4), [0.0])[0]
 
     def test_build_at_alpha_20(self):
         table = build_table(smoke_build_config(seed=1, alpha=0.2))
