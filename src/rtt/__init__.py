@@ -48,7 +48,6 @@ from .populations import Population, make_population, population_names
 from .solver import (
     BuildConfig,
     IsPool,
-    LfdAtom,
     RpEstimate,
     SwitchConstants,
     TestEvaluator,

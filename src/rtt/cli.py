@@ -11,7 +11,8 @@ Subcommands:
 
 Data files hold one number per line, or CSV with a header when --column is
 given.  Results are printed as a human line followed by machine-readable
-key=value lines.
+key=value lines; each distinct warning a command gives, such as a sample
+below the table's design horizon, ends them as a ``warning=`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import glob
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -93,8 +95,6 @@ def _cmd_test(args) -> int:
         n=w.size,
         k=table.k,
     )
-    for note in dec.notes:
-        _print_kv(warning=note)
     return 0
 
 
@@ -163,8 +163,6 @@ def _cmd_regress(args) -> int:
         n_clusters=dataset.n_clusters,
         t_statistic=f"{dec.t_statistic:.17g}",
     )
-    for note in dec.notes:
-        _print_kv(warning=note)
     return 0
 
 
@@ -272,11 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (RttError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = args.func(args)
+        except (RttError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    for note in dict.fromkeys(str(c.message) for c in caught):
+        _print_kv(warning=note)
+    return code
 
 
 if __name__ == "__main__":

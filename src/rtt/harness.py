@@ -23,7 +23,7 @@ from .adapters import ClusteredDataset, _cr0_se, _ols_cluster_scores, clustered_
 from .errors import ConfigurationError, DegenerateSample, InvalidArgument
 from .inference import confidence_interval, decide
 from .populations import Population, make_population
-from .table import TestTable
+from .table import TestTable, read_table
 
 CLUSTER_SIZE = 10
 N_CONTROLS = 5
@@ -343,6 +343,21 @@ def run_experiment(design: ExperimentDesign) -> Report:
 # plain-text design files
 
 
+# design-file key -> (ExperimentDesign field, conversion of the value text)
+_DESIGN_KEYS = {
+    "population": ("population", str),
+    "adapter": ("adapter", str),
+    "n": ("n", int),
+    "reps": ("replications", int),
+    "alpha": ("alpha", float),
+    "methods": ("methods", lambda v: tuple(m.strip() for m in v.split(",") if m.strip())),
+    "seed": ("seed", int),
+    "ci": ("compute_ci", lambda v: v.lower() in ("1", "true", "yes")),
+    "bootstrap_b": ("bootstrap_b", int),
+    "calibration_reps": ("calibration_reps", int),
+}
+
+
 def parse_design_config(text: str, table_loader=None) -> ExperimentDesign:
     """Parse the key=value design format (# starts a comment).
 
@@ -361,24 +376,11 @@ def parse_design_config(text: str, table_loader=None) -> ExperimentDesign:
         values[key.strip().lower()] = val.strip()
     if "population" not in values:
         raise ConfigurationError("design file must set 'population'")
-    table = None
-    if "table" in values and values["table"]:
-        if table_loader is None:
-            from .table import read_table as table_loader
-        table = table_loader(values["table"])
-    methods = tuple(
-        m.strip() for m in values.get("methods", "t_test").split(",") if m.strip()
-    )
-    return ExperimentDesign(
-        population=values["population"],
-        adapter=values.get("adapter", "mean"),
-        n=int(values.get("n", "50")),
-        replications=int(values.get("reps", "1000")),
-        alpha=float(values.get("alpha", "0.05")),
-        methods=methods,
-        seed=int(values.get("seed", "0")),
-        table=table,
-        compute_ci=values.get("ci", "true").strip().lower() in ("1", "true", "yes"),
-        bootstrap_b=int(values.get("bootstrap_b", "999")),
-        calibration_reps=int(values.get("calibration_reps", "100000")),
-    )
+    # the design's own defaults stand for every key the file leaves out
+    given = {}
+    if values.get("table"):
+        given["table"] = (table_loader or read_table)(values["table"])
+    for key, (name, convert) in _DESIGN_KEYS.items():
+        if key in values:
+            given[name] = convert(values[key])
+    return ExperimentDesign(**given)

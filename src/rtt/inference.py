@@ -137,9 +137,11 @@ def decide(w, mu0: float, table: TestTable) -> Decision:
     """Apply the stored test to H0: mean = mu0 for the given sample."""
     ev = _evaluator(table)
     s, notes = _standardize(w, table)
-    rows = _rows(s, mu0)
-    t, cv = gate_values(*rows, ev.cv_z, ev.cv_t)
-    reject = bool(ev.decide_batch(*rows)[0])
+    yr, yl, y0 = _rows(s, mu0)
+    # the one gate evaluation gives the Decision's fields and condition 1;
+    # conditions 2 to 4 run only on a row that passes it, as in decide_batch
+    t, cv = gate_values(yr, yl, y0, ev.cv_z, ev.cv_t)
+    reject = bool(abs(t[0]) > cv[0]) and bool(ev._lr_conditions(yr[None], yl[None], np.array([y0]))[0])
     return Decision(
         reject=reject, t_statistic=float(t[0]), critical_value=float(cv[0]),
         alpha=table.alpha, notes=notes,
@@ -303,7 +305,7 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     span = CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
     if span <= 0.0:
         raise DegenerateSample("sample has zero range")
-    s = summarize(w, at.k)
+    s = _standardize(w, at)[0]
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
         reject = _nested(*_rows(s, grid), tables)

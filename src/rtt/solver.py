@@ -25,7 +25,9 @@ sampling estimator, ``_rp_of_entries``, over a pool of "extended" single
 tails, each draw recombined with the K draws after it.  ``build_table``
 builds the pool's one context, ``_PoolCtx``, right after the pool and hands
 it to stages 2 to 4; it evaluates conditions 2 and 3 once, after stage 2,
-and hands the entries where they hold to stages 3 and 4.
+and hands the entries where they hold to stages 3 and 4.  Stages 2 and 3
+return their atoms as the table's ``S`` and ``F`` rows, the form the pool's
+conditions, the spot check and ``TestEvaluator`` all read.
 Progress is logged one line per iteration on the ``rtt.solver`` logger as
 
     lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta> elapsed_s=<float>
@@ -40,8 +42,9 @@ from __future__ import annotations
 import logging
 import math
 import time
+import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -70,14 +73,18 @@ from .model import (
     single_tail_log_term,
 )
 from .space import (
+    XI_GRID_MAX,
     SpaceConfig,
+    boundary_grid,
     contains,
     eta_max_d,
     kappa_max,
     kappa_min,
+    sample_interior,
     single_tail_grid,
     single_tail_ok,
 )
+from .table import FullAtomRow, SingleAtomRow, TestTable
 
 logger = logging.getLogger("rtt.solver")
 
@@ -116,18 +123,6 @@ class SwitchConstants:
     def __post_init__(self):
         if not (self.rho1 > 0.0 and self.rho_r > 0.0):
             raise InvalidArgument("switching constants must be positive")
-
-
-@dataclass(frozen=True)
-class LfdAtom:
-    """One atom of an approximate least favorable distribution."""
-
-    theta: TailParams | ThetaFull
-    weight: float
-
-    def __post_init__(self):
-        if not self.weight > 0.0:
-            raise InvalidArgument("atom weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ class _PoolCtx:
     draw over ``DEFAULT_XI_GRID`` with ``fa_nodes`` quadrature nodes, and the
     entries, the recombined pairs (i, i + j mod n), j = 1, ..., K in that
     order, on which the gate holds, as index arrays ``la`` and ``lb``.  Only
-    the per-tail cache of (log f_T, M*) grows; the switching index depends
+    the cache of the atoms' (log f_T, M*) grows; the switching index depends
     on the table's constants, so its readers compute it."""
 
     def __init__(self, pool: IsPool, alpha: float, fa_nodes: int = DEFAULT_NODES):
@@ -319,23 +314,28 @@ class _PoolCtx:
         self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- per-parameter caches -------------------------------------------------
-    def tail_arrays(self, t: TailParams, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """(log f_T, M*) of every pool draw under t, float32, NaN-free."""
+    def _parts32(self, t: TailParams) -> tuple[np.ndarray, np.ndarray]:
+        lf, ms = _sorted_tail_parts(self.y_tail, t)
+        return lf.astype(np.float32), ms.astype(np.float32)
+
+    def tail_arrays(self, t: TailParams) -> tuple[np.ndarray, np.ndarray]:
+        """(log f_T, M*) of every pool draw under t, float32, NaN-free,
+        kept for the context's life: the denominators' atoms read them at
+        every iteration."""
         key = t.astuple()
         got = self._tails.get(key)
         if got is None:
-            lf, ms = _sorted_tail_parts(self.y_tail, t)
-            got = (lf.astype(np.float32), ms.astype(np.float32))
-            if cache:
-                self._tails[key] = got
+            got = self._tails[key] = self._parts32(t)
         return got
 
-    def weight(self, t: TailParams, cache: bool = True) -> np.ndarray:
-        """Float64 importance weight of every draw under t, not kept: the
-        sweeps of one stage keep theirs, so a stage's weights are freed
-        when it ends.  ``cache`` keeps t's tail arrays."""
+    def weight(self, t: TailParams) -> np.ndarray:
+        """Float64 importance weight of every draw under t, from t's kept
+        tail arrays if an atom has them; neither is kept: the sweeps of one
+        stage keep their weights, so a stage's weights are freed when it
+        ends."""
+        got = self._tails.get(t.astuple())
         with np.errstate(over="ignore"):
-            lf, ms = self.tail_arrays(t, cache=cache)
+            lf, ms = self._parts32(t) if got is None else got
             return np.exp(extended_log_term(lf.astype(float), ms.astype(float), self.y0e) - self.logdens)
 
 
@@ -522,7 +522,7 @@ def heavy_single_candidates(
     """Single-tail grid over the non-switching part of the one-tail space."""
     rng = np.random.default_rng(seed)
     out = []
-    for xi in np.linspace(-0.5, 0.499, n_xi):
+    for xi in np.linspace(-0.5, XI_GRID_MAX, n_xi):
         draws = sample_joint_tail(cfg.k, xi, rng, size=_BOUNDARY_DRAWS)
         k_lo, k_hi = kappa_min(xi, cfg), kappa_max(xi, cfg)
         for kappa in np.linspace(k_lo, k_hi, n_kappa):
@@ -787,9 +787,10 @@ def solve_single_tail(
     candidates: list[TailParams],
     left_boundary: list[TailParams],
     tuning: SolverTuning = SolverTuning(),
-) -> list[LfdAtom]:
-    """Stage 2: single-tail atoms so that gate+condition-2 respects the level
-    for pairs (thin boundary left, heavy right) inside the null space."""
+) -> tuple[SingleAtomRow, ...]:
+    """Stage 2: single-tail atoms, as the table's rows, so that
+    gate+condition-2 respects the level for pairs (thin boundary left, heavy
+    right) inside the null space."""
     started = time.perf_counter()
     if not candidates:
         raise ConfigurationError("no heavy single-tail candidates; switching absorbs the space")
@@ -810,34 +811,14 @@ def solve_single_tail(
         2, denom.denom, sweep, np.asarray(atom_of_check), ctx.alpha, tuning, len(candidates), started
     )
     keep = lam > _PRUNE_REL * lam.max()
-    return [
-        LfdAtom(theta=t, weight=float(w))
-        for t, w, kp in zip(candidates, lam, keep)
-        if kp
-    ]
+    return tuple((float(w), *t.astuple()) for t, w, kp in zip(candidates, lam, keep) if kp)
 
 
-def _single_rows(atoms: list[LfdAtom]):
-    return tuple(
-        (a.weight, a.theta.kappa, a.theta.eta, a.theta.xi) for a in atoms
-    )
-
-
-def _full_rows(atoms: list[LfdAtom]):
-    out = []
-    for a in atoms:
-        th = a.theta
-        out.append(
-            (a.weight, th.left.kappa, th.left.eta, th.left.xi, th.right.kappa, th.right.eta, th.right.xi)
-        )
-    return tuple(out)
-
-
-def _single_condition_bits(ctx: _PoolCtx, atoms: list[LfdAtom], switch: SwitchConstants):
-    """Conditions 2 and 3 of the single-tail test with ``atoms`` and
-    switching constants ``switch`` at every entry."""
-    params = [a.theta for a in atoms]
-    lam = np.array([a.weight for a in atoms])
+def _single_condition_bits(ctx: _PoolCtx, rows: tuple[SingleAtomRow, ...], switch: SwitchConstants):
+    """Conditions 2 and 3 of the single-tail test with the atom ``rows``
+    and switching constants ``switch`` at every entry."""
+    params = [TailParams(*r[1:]) for r in rows]
+    lam = np.array([r[0] for r in rows])
     chi = switching_index(ctx.y_tail, switch)
     bits2 = _SingleDenom(ctx, params, chi).denom(lam) < 1.0
     bits3 = _SingleDenom(ctx, params, chi, swapped=True).denom(lam) < 1.0
@@ -852,9 +833,9 @@ def solve_two_tail(
     max_pairs: int = 420,
     tuning: SolverTuning = SolverTuning(),
     seed: int = 0,
-) -> list[LfdAtom]:
-    """Stage 3: full atoms so the complete four-condition test respects the
-    level on heavy/heavy pairs; ``sub`` holds the entries where conditions 2
+) -> tuple[FullAtomRow, ...]:
+    """Stage 3: full atoms, as the table's rows, so the complete
+    four-condition test respects the level on heavy/heavy pairs; ``sub`` holds the entries where conditions 2
     and 3 hold.  Atoms are kept mirror-symmetric: each unordered pair
     contributes both orderings with half its weight."""
     started = time.perf_counter()
@@ -893,11 +874,11 @@ def solve_two_tail(
         sweep, np.arange(len(pairs)), ctx.alpha, tuning, len(pairs), started,
     )
     keep = lam > _PRUNE_REL * lam.max()
-    return [
-        LfdAtom(theta=ThetaFull(left=left, right=right), weight=float(h * lam[p]))
+    return tuple(
+        (float(h * lam[p]), *left.astuple(), *right.astuple())
         for (left, right), p, h in zip(ordered, of_pair, half)
         if keep[p]
-    ]
+    )
 
 # ---------------------------------------------------------------------------
 # runtime evaluation of a stored test
@@ -1000,24 +981,26 @@ class TestEvaluator:
 # stage 4 spot check
 
 
-def _table_entry_bits(ctx: _PoolCtx, sub: np.ndarray, atoms: list[LfdAtom]) -> np.ndarray:
-    """Composite-test bits at every entry: condition 4 with the full
-    ``atoms`` at the entries ``sub`` where conditions 1 to 3 hold."""
-    pairs = [(a.theta.left, a.theta.right) for a in atoms]
-    acc = _PairDenom(ctx, pairs, sub).denom(np.array([a.weight for a in atoms]))
+def _table_entry_bits(ctx: _PoolCtx, sub: np.ndarray, rows: tuple[FullAtomRow, ...]) -> np.ndarray:
+    """Composite-test bits at every entry: condition 4 with the full atom
+    ``rows`` at the entries ``sub`` where conditions 1 to 3 hold."""
+    pairs = [(TailParams(*r[1:4]), TailParams(*r[4:])) for r in rows]
+    acc = _PairDenom(ctx, pairs, sub).denom(np.array([r[0] for r in rows]))
     bits = np.zeros(ctx.la.size, dtype=np.float32)
     bits[sub[acc < 1.0]] = 1.0
     return bits
 
 
-def spot_check(ctx: _PoolCtx, sub: np.ndarray, atoms: list[LfdAtom], thetas: list[ThetaFull]) -> list[RpEstimate]:
+def spot_check(
+    ctx: _PoolCtx, sub: np.ndarray, rows: tuple[FullAtomRow, ...], thetas: list[ThetaFull]
+) -> list[RpEstimate]:
     """Estimated null rejection rate at each point of the composite test
     whose conditions 2 and 3 hold at the entries ``sub`` and whose full
-    atoms are ``atoms``.
+    atoms are the table rows ``rows``.
 
-    Points share tails, so each distinct tail's weights are computed once,
-    uncached, and dropped after the last point that uses them."""
-    bits = _table_entry_bits(ctx, sub, atoms)
+    Points share tails, so each distinct tail's weights are computed once
+    and dropped after the last point that uses them."""
+    bits = _table_entry_bits(ctx, sub, rows)
     last_use = {}
     for i, theta in enumerate(thetas):
         last_use[theta.right.astuple()] = last_use[theta.left.astuple()] = i
@@ -1026,7 +1009,7 @@ def spot_check(ctx: _PoolCtx, sub: np.ndarray, atoms: list[LfdAtom], thetas: lis
     def weight(t: TailParams) -> np.ndarray:
         key = t.astuple()
         if key not in live:
-            live[key] = ctx.weight(t, cache=False)
+            live[key] = ctx.weight(t)
         return live[key]
 
     out = []
@@ -1093,11 +1076,8 @@ def smoke_build_config(**overrides) -> BuildConfig:
     return BuildConfig(**base)
 
 
-def build_table(config: BuildConfig):
+def build_table(config: BuildConfig) -> TestTable:
     """Run the four-stage construction and return a serializable table."""
-    from .space import boundary_grid, sample_interior
-    from .table import TestTable
-
     cfg = SpaceConfig(n0=config.n0, k=config.k)
     switch = calibrate_switching_direct(cfg, config.alpha, seed=config.seed + 1)
     candidates = heavy_single_candidates(
@@ -1120,39 +1100,17 @@ def build_table(config: BuildConfig):
     pool = build_proposal(cfg, region, config.n_draws, config.recombine, seed=config.seed)
     ctx = _PoolCtx(pool, config.alpha, config.fa_nodes)
     logger.info("lfd stage=0 pool built draws=%d elapsed_s=%.3f", pool.n, time.perf_counter() - started)
-    atoms_s = solve_single_tail(ctx, cfg, switch, candidates, lefts, config.tuning)
+    single_atoms = solve_single_tail(ctx, cfg, switch, candidates, lefts, config.tuning)
     # the entries where conditions 2 and 3 hold, for stages 3 and 4
-    sub = np.flatnonzero(_single_condition_bits(ctx, atoms_s, switch))
-    atoms_f = solve_two_tail(
+    sub = np.flatnonzero(_single_condition_bits(ctx, single_atoms, switch))
+    full_atoms = solve_two_tail(
         ctx, cfg, sub, candidates, config.max_pairs, config.tuning, seed=config.seed + 4
-    )
-    meta = [
-        ("format", "1"),
-        ("seed", str(config.seed)),
-        ("n_draws", str(config.n_draws)),
-        ("recombine", str(config.recombine)),
-        ("step_c", repr(_STEP_C)),
-        ("margin_se", repr(config.tuning.margin_se)),
-        ("max_iter", str(config.tuning.max_iter)),
-        ("fa_nodes", str(config.fa_nodes)),
-        ("grid", f"{config.n_xi}x{config.n_kappa}x{config.n_eta}"),
-    ]
-    table = TestTable(
-        k=config.k,
-        n0=config.n0,
-        alpha=config.alpha,
-        rho1=switch.rho1,
-        rho_r=switch.rho_r,
-        single_atoms=_single_rows(atoms_s),
-        full_atoms=_full_rows(atoms_f),
-        xi_grid=DEFAULT_XI_GRID,
-        build_metadata=tuple(meta),
     )
     # stage 4: wide spot check
     started = time.perf_counter()
     points = boundary_grid(cfg, config.spot_boundary_resolution)
     points += sample_interior(cfg, config.spot_interior, np.random.default_rng(config.seed + 5))
-    rps = spot_check(ctx, sub, atoms_f, points)
+    rps = spot_check(ctx, sub, full_atoms, points)
     worst = max(range(len(points)), key=lambda i: rps[i].rp - 2.0 * rps[i].se)
     n_bad = sum(
         1 for r in rps if r.rp > config.alpha + 2.0 * r.se + config.spot_slack
@@ -1163,16 +1121,33 @@ def build_table(config: BuildConfig):
         time.perf_counter() - started,
     )
     if n_bad:
-        import warnings
-
         warnings.warn(
             f"stage-4 spot check found {n_bad} points above "
             f"alpha + 2 se + {config.spot_slack}; worst at {fmt_theta(points[worst])}"
         )
-    meta += [
+    meta = (
+        ("format", "1"),
+        ("seed", str(config.seed)),
+        ("n_draws", str(config.n_draws)),
+        ("recombine", str(config.recombine)),
+        ("step_c", repr(_STEP_C)),
+        ("margin_se", repr(config.tuning.margin_se)),
+        ("max_iter", str(config.tuning.max_iter)),
+        ("fa_nodes", str(config.fa_nodes)),
+        ("grid", f"{config.n_xi}x{config.n_kappa}x{config.n_eta}"),
         ("spot_points", str(len(points))),
         ("spot_max_rp", f"{rps[worst].rp:.6f}"),
         ("spot_max_rp_se", f"{rps[worst].se:.6f}"),
         ("spot_violations", str(n_bad)),
-    ]
-    return replace(table, build_metadata=tuple(meta))
+    )
+    return TestTable(
+        k=config.k,
+        n0=config.n0,
+        alpha=config.alpha,
+        rho1=switch.rho1,
+        rho_r=switch.rho_r,
+        single_atoms=single_atoms,
+        full_atoms=full_atoms,
+        xi_grid=DEFAULT_XI_GRID,
+        build_metadata=meta,
+    )

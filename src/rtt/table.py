@@ -217,20 +217,17 @@ def read_table(source) -> TestTable:
         raise TableFormatError("field xi_grid: missing XIGRID line")
     if checksum is None:
         raise TableFormatError("field checksum: missing CHECKSUM line (truncated file?)")
-    try:
-        table = TestTable(
-            k=k,
-            n0=n0,
-            alpha=alpha,
-            rho1=rho[0],
-            rho_r=rho[1],
-            single_atoms=tuple(singles),
-            full_atoms=tuple(fulls),
-            xi_grid=xi_grid,
-            build_metadata=tuple(meta),
-        )
-    except TableFormatError:
-        raise
+    table = TestTable(
+        k=k,
+        n0=n0,
+        alpha=alpha,
+        rho1=rho[0],
+        rho_r=rho[1],
+        single_atoms=tuple(singles),
+        full_atoms=tuple(fulls),
+        xi_grid=xi_grid,
+        build_metadata=tuple(meta),
+    )
     want = table_checksum(table)
     if checksum != want:
         raise TableFormatError("field checksum: digest mismatch (corrupted or edited file)")

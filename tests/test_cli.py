@@ -107,6 +107,17 @@ class TestCiCommand:
         out, kv = _kv(capsys)
         assert float(kv["ci_low"]) < float(kv["ci_high"])
 
+    @pytest.mark.parametrize("command", ["ci", "pvalue", "test"])
+    def test_small_sample_warning_line(self, command, tmp_path, smoke_tables, capsys):
+        # every query prints the design-horizon note once, as rtt test does
+        root, paths = smoke_tables
+        data = tmp_path / "w.txt"
+        data.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(3).standard_normal(20)))
+        assert main([command, "--data", str(data), *_source_args(command, paths, root)]) == 0
+        out, kv = _kv(capsys)
+        assert kv["warning"] == "sample size 20 is below the table's design horizon n0=50"
+        assert out.count("warning=") == 1
+
     @pytest.mark.parametrize("source", [[], ["--table", "a.rtt", "--tables", "dir"]])
     def test_needs_exactly_one_table_source(self, source, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -233,6 +233,9 @@ class TestDesignConfig:
         with pytest.raises(ConfigurationError):
             parse_design_config("n = 40")
 
+    def test_unset_keys_take_the_design_defaults(self):
+        assert parse_design_config("population = LogN") == ExperimentDesign(population="LogN")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_design_config("population = LogN\nbogus line")

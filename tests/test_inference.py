@@ -176,6 +176,31 @@ class TestDecide:
             dec = decide(w, 0.0, TBL)
         assert dec.notes
 
+    def test_gate_evaluated_once(self, monkeypatch):
+        # one gate evaluation gives the Decision's t and cv and condition 1;
+        # only a row that passes it reaches conditions 2 to 4
+        import rtt.solver as solver_mod
+
+        calls = {"gate": 0, "lr": 0}
+        gate, lr = solver_mod._gate_of_sums, solver_mod.TestEvaluator._lr_conditions
+
+        def gate_spy(*args):
+            calls["gate"] += 1
+            return gate(*args)
+
+        def lr_spy(self, *args):
+            calls["lr"] += 1
+            return lr(self, *args)
+
+        monkeypatch.setattr(solver_mod, "_gate_of_sums", gate_spy)
+        monkeypatch.setattr(solver_mod.TestEvaluator, "_lr_conditions", lr_spy)
+        w = np.random.default_rng(5).normal(size=50)
+        for mu0, passes in ((float(w.max() + 10.0 * np.ptp(w)), True), (float(w.mean()), False)):
+            calls.update(gate=0, lr=0)
+            dec = decide(w, mu0, TBL)
+            assert (abs(dec.t_statistic) > dec.critical_value) == passes == dec.reject
+            assert calls == {"gate": 1, "lr": int(passes)}
+
 
 class TestPValue:
     def make_set(self):
@@ -237,6 +262,10 @@ class TestPValue:
             warnings.simplefilter("always")
             assert tables.raw_decisions(w, 0.0) == [True] * len(tables.tables)
         assert [str(c.message) for c in caught] == [msg]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lo, hi = confidence_interval(w, 0.95, tables)
+        assert lo < hi and [str(c.message) for c in caught] == [msg]
 
     def test_level_tolerance_is_shared(self):
         # a level 5e-10 off a table's level selects that table everywhere:

@@ -24,7 +24,6 @@ from rtt.model import (
 from rtt.solver import (
     DEFAULT_LADDER,
     IsPool,
-    LfdAtom,
     RpEstimate,
     SwitchConstants,
     TestEvaluator,
@@ -92,21 +91,11 @@ def ctx24(pool):
     return _PoolCtx(pool, 0.05, 24)
 
 
-def _table_atoms(table):
-    """A stored test's switching constants, single atoms and full atoms."""
-    singles = [LfdAtom(TailParams(*r[1:]), r[0]) for r in table.single_atoms]
-    fulls = [
-        LfdAtom(ThetaFull(left=TailParams(*r[1:4]), right=TailParams(*r[4:])), r[0])
-        for r in table.full_atoms
-    ]
-    return SwitchConstants(table.rho1, table.rho_r), singles, fulls
-
-
 def _table_entries(ctx, table):
     """The entries where the stored test's conditions 2 and 3 hold, and its
     full atoms, composed as ``build_table`` composes them."""
-    switch, singles, fulls = _table_atoms(table)
-    return np.flatnonzero(_single_condition_bits(ctx, singles, switch)), fulls
+    switch = SwitchConstants(table.rho1, table.rho_r)
+    return np.flatnonzero(_single_condition_bits(ctx, table.single_atoms, switch)), table.full_atoms
 
 
 class TestEstimateRp:
@@ -169,7 +158,7 @@ class TestPool:
 
     def test_effective_sample_size_at_grid_points(self, pool, ctx40):
         for th in pool.components[:: max(1, len(pool.components) // 12)]:
-            w = ctx40.weight(th, cache=False)
+            w = ctx40.weight(th)
             ess = w.sum() ** 2 / (w * w).sum()
             assert ess >= 0.01 * pool.n
 
@@ -649,13 +638,22 @@ class TestSpotCheck:
         bits = _table_entry_bits(ctx, sub, fulls)
         want = []
         for th in points:
-            u = ctx.weight(th.right, cache=False)
-            v = ctx.weight(th.left, cache=False)
+            u = ctx.weight(th.right)
+            v = ctx.weight(th.left)
             want.append(_rp_of_entries(bits, u, v, ctx.la, ctx.lb, pool.n, pool.K))
         assert got == want
         # the iteration's se, from the same estimator
         sweep = _RpSweep(ctx, points)
         assert got == [sweep.rp_se(bits, i) for i in range(len(points))]
+
+    def test_keeps_no_tail_arrays(self, ctx40):
+        # the context keeps the atoms' tails only; the points' are dropped
+        table = read_table(DESK)
+        points = boundary_grid(CFG, 2) + sample_interior(CFG, 10, np.random.default_rng(7))
+        sub, fulls = _table_entries(ctx40, table)
+        kept = len(ctx40._tails)
+        spot_check(ctx40, sub, fulls, points)
+        assert len(ctx40._tails) == kept
 
 
 class TestSolveSingleTail:
@@ -667,7 +665,7 @@ class TestSolveSingleTail:
                 heavy_single_candidates(CFG, sw, seed=0), boundary_left_reps(CFG, sw, seed=1),
                 tuning=SolverTuning(max_iter=60, prescale_iter=14),
             )
-        assert atoms and all(a.weight > 0 for a in atoms)
+        assert atoms and all(row[0] > 0 for row in atoms)
         # documented progress format
         pat = re.compile(r"lfd stage=2 iter=\d+ max_rp=\d\.\d+ se=\d\.\d+ worst=\S+")
         lines = [r.getMessage() for r in caplog.records]
@@ -688,8 +686,8 @@ class TestSolveSingleTail:
         )
         from rtt.space import contains
 
-        params = [a.theta for a in atoms]
-        lam = np.array([a.weight for a in atoms])
+        params = [TailParams(*row[1:]) for row in atoms]
+        lam = np.array([row[0] for row in atoms])
         denom = _SingleDenom(ctx, params, switching_index(ctx.y_tail, sw))
         bits = (denom.denom(lam) < 1.0).astype(np.float32)
         checks = [
