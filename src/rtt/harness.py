@@ -363,7 +363,7 @@ def parse_design_config(text: str, table_loader=None) -> ExperimentDesign:
 
     Keys: population, adapter, n, reps, alpha, methods (comma-separated),
     seed, table (path, optional), ci (true/false), bootstrap_b,
-    calibration_reps.
+    calibration_reps; any other key is an error.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -373,7 +373,10 @@ def parse_design_config(text: str, table_loader=None) -> ExperimentDesign:
         key, sep, val = line.partition("=")
         if not sep:
             raise ConfigurationError(f"design line {lineno}: expected key = value")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key not in _DESIGN_KEYS and key != "table":
+            raise ConfigurationError(f"design line {lineno}: unknown key '{key}'")
+        values[key] = val.strip()
     if "population" not in values:
         raise ConfigurationError("design file must set 'population'")
     # the design's own defaults stand for every key the file leaves out

@@ -900,7 +900,9 @@ class TestEvaluator:
     single atoms' tails in table order, then every other full-atom tail.
     Tails are told apart by their float64 bytes.  The conditions gather
     their atoms' columns of those grids (``s_col``, ``l_col``, ``r_col``),
-    so every term is the value a per-atom kernel call gives."""
+    so every term is the value a per-atom kernel call gives.  Both tails of
+    a block share one f_a call, which evaluates each distinct spacing row
+    once."""
 
     __test__ = False  # not a pytest class
 
@@ -956,8 +958,7 @@ class TestEvaluator:
         """Conditions 2 to 4 on gate-passing rows; ``y0s`` is already the
         difference the solver forms as y0_r - y0_l, so y0_l is 0 here.
         Condition 4 is evaluated only where 2 and 3 hold, as in the solver."""
-        logfa_r = log_f_a_single(yrs, self.xi_grid, DEFAULT_NODES)
-        logfa_l = log_f_a_single(yls, self.xi_grid, DEFAULT_NODES)
+        logfa_r, logfa_l = np.split(log_f_a_single(np.concatenate([yrs, yls]), self.xi_grid, DEFAULT_NODES), 2)
         chi_r = switching_index(yrs, self.switch)
         chi_l = switching_index(yls, self.switch)
         with np.errstate(over="ignore", invalid="ignore"):

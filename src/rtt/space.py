@@ -32,8 +32,8 @@ XI_GRID_MAX = 0.499
 class SpaceConfig:
     """Extension horizon n0 and tail block size k."""
 
-    n0: int = 50
-    k: int = 8
+    n0: int
+    k: int
 
     def __post_init__(self):
         if self.k < 2:

@@ -178,6 +178,62 @@ class TestOneRowMatchesBatch:
         assert np.array_equal(alone, batch)
 
 
+class TestDistinctSpacingRows:
+    @staticmethod
+    def _batch():
+        # one sample's right tail shifted to many means, as a confidence
+        # interval's rows are, with exact duplicates, tied rows and other
+        # tails, over more rows than one quadrature block
+        rng = np.random.default_rng(21)
+        base = np.sort(rng.standard_t(3, size=4))[::-1] / 1.7
+        shifts = np.linspace(-2.0, 2.0, 400) / 1.7
+        shifted = base[None, :] - shifts[:, None]
+        others = _tail_rows(rng, 150, 4)
+        y = np.concatenate([shifted, others, shifted[::3], others[::5], np.full((5, 4), np.pi)])
+        y = y[rng.permutation(y.shape[0])]
+        assert y.shape[0] > _CHUNK // len(DEFAULT_XI_GRID)
+        return y
+
+    def test_bits_match_reference_and_rows_alone(self):
+        y = self._batch()
+        got = log_f_a_single(y)
+        assert np.array_equal(got, _reference_log_f_a(y, DEFAULT_XI_GRID, 40))
+        assert np.array_equal(got, [log_f_a_single(row) for row in y])
+        assert np.isposinf(got).sum() >= 5
+
+    @staticmethod
+    def _quadrature_rows(monkeypatch, y):
+        """The spacing rows, as bytes, that reach the quadrature."""
+        import rtt.fa as fa_mod
+
+        real, seen = fa_mod._log_fa_shapes, []
+
+        def spy(dl, xi, r, logjac):
+            if xi[0] > 0.0:  # one of the two calls per block
+                seen.extend(row.tobytes() for row in dl)
+            return real(dl, xi, r, logjac)
+
+        monkeypatch.setattr(fa_mod, "_log_fa_shapes", spy)
+        log_f_a_single(y)
+        monkeypatch.undo()
+        return seen
+
+    def test_quadrature_sees_each_distinct_spacing_row_once(self, monkeypatch):
+        y = self._batch()
+        d = y[:, :-1] - y[:, -1:]
+        distinct = {row.tobytes() for row in d if row.sum() > 0.0}
+        seen = self._quadrature_rows(monkeypatch, y)
+        assert len(seen) == len(distinct) < y.shape[0] // 2
+        assert set(seen) == distinct
+
+    def test_signed_zero_spacings_are_not_merged(self, monkeypatch):
+        y = np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 0.0]])
+        d = y[:, :-1] - y[:, -1:]
+        assert d[0].tobytes() != d[1].tobytes()
+        assert len(self._quadrature_rows(monkeypatch, y)) == 2
+        assert np.array_equal(log_f_a_single(y), [log_f_a_single(row) for row in y])
+
+
 class TestLogSumExp:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_scipy_bits(self, axis):
@@ -196,3 +252,11 @@ class TestLogSumExp:
         want = logsumexp(a, axis=axis)
         assert np.array_equal(got, want)
         assert np.isneginf(got[0])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_all_neg_inf_slice_takes_the_direct_form(self, axis):
+        a = np.random.default_rng(4).normal(size=(6, 5))
+        np.moveaxis(a, axis, 0)[:, 2] = -np.inf  # one whole slice along axis
+        got = _logsumexp(a, axis=axis)
+        assert np.array_equal(got, logsumexp(a, axis=axis))
+        assert np.isneginf(got[2]) and np.isfinite(np.delete(got, 2)).all()

@@ -236,6 +236,10 @@ class TestDesignConfig:
     def test_unset_keys_take_the_design_defaults(self):
         assert parse_design_config("population = LogN") == ExperimentDesign(population="LogN")
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="line 2: unknown key 'rep'"):
+            parse_design_config("population = LogN\nrep = 10")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_design_config("population = LogN\nbogus line")
