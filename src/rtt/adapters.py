@@ -45,10 +45,14 @@ class ClusteredDataset:
 
 @dataclass(frozen=True)
 class GmmProblem:
-    """Per-unit moment evaluations at the estimate plus first-order pieces."""
+    """Per-unit moment evaluations at the estimate plus first-order pieces.
+
+    ``jacobian`` is d E[g] / d theta' of one unit's moment row, the Jacobian
+    of the unit average that ``finite_difference_jacobian`` returns, also
+    when clusters hold several units."""
 
     moments: np.ndarray  # (n_units, r) rows g(theta_hat, z_j)
-    jacobian: np.ndarray  # (r, q) estimate of d E[g] / d theta'
+    jacobian: np.ndarray  # (r, q) estimate of d E[g] / d theta' per unit
     weight: np.ndarray  # (r, r) positive definite
     theta_hat: np.ndarray  # (q,), first coordinate is the parameter of interest
     clusters: np.ndarray  # (n_units,)
@@ -94,9 +98,13 @@ def gmm_w(p: GmmProblem) -> np.ndarray:
 
     Uses the influence-function deviation -(J'WJ)^{-1} J'W G_i, whose sign
     makes the plain mean problem reduce to W_i = z_i (the estimator moves
-    with the moments, against the negative Jacobian).
+    with the moments, against the negative Jacobian).  J is the per-unit
+    Jacobian, so a cluster's summed moment G_i has on average
+    n_units / n_clusters times it, and the deviation is scaled by
+    n_clusters / n_units; with one unit per cluster the factor is 1.
     """
-    g_hat = _cluster_sums(np.asarray(p.moments, dtype=float), np.asarray(p.clusters))
+    g = np.asarray(p.moments, dtype=float)
+    g_hat = _cluster_sums(g, np.asarray(p.clusters))
     jac = np.asarray(p.jacobian, dtype=float)
     psi = np.asarray(p.weight, dtype=float)
     jtp = jac.T @ psi
@@ -106,7 +114,7 @@ def gmm_w(p: GmmProblem) -> np.ndarray:
         raise LinearAlgebraError(f"J'WJ is numerically singular (cond={cond:.3e})")
     a = -np.linalg.solve(h, jtp)[0]  # minus first row of (J'WJ)^{-1} J'W
     beta_hat = float(np.asarray(p.theta_hat, dtype=float)[0])
-    return beta_hat + g_hat @ a
+    return beta_hat + (g_hat @ a) * (g_hat.shape[0] / g.shape[0])
 
 
 def _residualize(target: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -185,6 +185,14 @@ class ExperimentDesign:
     def __post_init__(self):
         if self.replications < 1:
             raise InvalidArgument("need at least one replication")
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidArgument(f"level alpha must lie in (0, 1), got {self.alpha!r}")
+        if self.n < 2:
+            raise InvalidArgument(f"need at least 2 effective observations, got n={self.n}")
+        if self.compute_ci and self.calibration_reps < 1:
+            raise InvalidArgument("intervals need at least one calibration replication")
+        if self.bootstrap_b < 99 and set(self.methods) & {"sym_boot", "asym_boot", "wild_cluster"}:
+            raise InvalidArgument(f"bootstrap needs at least 99 replicates, got bootstrap_b={self.bootstrap_b}")
         if self.adapter not in ADAPTERS:
             raise InvalidArgument(f"unknown adapter {self.adapter!r}; known: {ADAPTERS}")
         if self.adapter == "two_sample" and self.n % 2:
@@ -196,6 +204,10 @@ class ExperimentDesign:
             raise InvalidArgument("wild_cluster applies only to the cluster_ols adapter")
         if "new" in self.methods and self.table is None:
             raise InvalidArgument("method 'new' needs a test table")
+        if "new" in self.methods and self.n < 2 * self.table.k + 2:
+            raise InvalidArgument(
+                f"method 'new' needs n >= {2 * self.table.k + 2} for the table's k={self.table.k}, got n={self.n}"
+            )
 
 
 def _generate(design: ExperimentDesign, pop: Population, rng: np.random.Generator):

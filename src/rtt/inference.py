@@ -80,14 +80,21 @@ def summarize(w, k: int, mu0: float = 0.0) -> SampleSummary:
 def _rows(s: SampleSummary, mu0s):
     """(y_right, y_left, y0) of ``s`` shifted affinely to the mean or array of
     means ``mu0s``: one row, or one per mean, each equal bit for bit to its
-    row in any array; a Python number takes the cheap float path."""
+    row in any array.  A single number takes the cheap float path, the one
+    every single-mean query takes, which rejects a mean whose row is not
+    finite (a NaN or infinite mean, or one that overflows it)."""
     d = s.denom
-    if isinstance(mu0s, (float, int)):
-        shift = col = mu0s / d
+    one = isinstance(mu0s, (float, int, np.number))
+    if one:
+        shift = col = float(mu0s) / d
     else:
         shift = np.asarray(mu0s, dtype=float) / d
         col = shift[..., None]
-    return s.w_right / d - col, s.w_left_neg / d + col, s.middle_sum / d - (s.n - 2 * s.k) * shift
+    yr, yl, y0 = s.w_right / d - col, s.w_left_neg / d + col, s.middle_sum / d - (s.n - 2 * s.k) * shift
+    # on the float path, a k-row check in Python is cheaper than numpy's
+    if one and not all(map(math.isfinite, [y0, *yr.tolist(), *yl.tolist()])):
+        raise InvalidArgument(f"hypothesized mean {mu0s!r} gives a non-finite standardized statistic")
+    return yr, yl, y0
 
 
 def to_ystar(s: SampleSummary) -> YStar:
@@ -203,7 +210,8 @@ class TableSet:
         tables = [t for t in self.tables if t.alpha + _LEVEL_TOL >= alpha]
         if not tables:
             raise ConfigurationError(f"no table at level >= {alpha}")
-        return bool(_nested(*_rows(_standardize(w, tables[0])[0], [mu0]), tables)[0])
+        yr, yl, y0 = _rows(_standardize(w, tables[0])[0], mu0)
+        return bool(_nested(yr[None], yl[None], np.array([y0]), tables)[0])
 
 
 @dataclass(frozen=True)

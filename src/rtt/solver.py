@@ -195,26 +195,15 @@ def switching_index(y_tail, switch: SwitchConstants):
     return np.maximum(0.0, np.minimum(y1 - switch.rho1, ratio))
 
 
-def t_statistic(y_right, y_left, y0):
-    """Full-sample analogue statistic of the approximate model."""
-    yr = np.asarray(y_right, dtype=float)
-    yl = np.asarray(y_left, dtype=float)
-    return _t_of_sums(y0, _row_sum(yr), _row_sum(yl), _row_sum(yr * yr), _row_sum(yl * yl))
-
-
-def _t_of_sums(y0, s_r, s_l, q_r, q_l):
-    """The statistic from each tail's row sums s and sums of squares q."""
-    return (np.asarray(y0, dtype=float) + s_r - s_l) / np.sqrt(1.0 + q_r + q_l)
-
-
 def _gate_of_sums(y0, s_r, s_l, q_r, q_l, cv_z: float, cv_t: float):
     """Statistic t and critical value cv of the gate (condition 1), which
     holds where |t| > cv, from each tail's row sums s and sums of squares q;
     cv blends the normal and student-t values by tail weight.  The one gate:
     the runtime and stage 1 reach it through ``gate_values``, and the pool's
     pair index calls it on recombined sums."""
+    t = (np.asarray(y0, dtype=float) + s_r - s_l) / np.sqrt(1.0 + q_r + q_l)
     w = 1.0 / (1.0 + np.asarray(q_r + q_l, dtype=float))
-    return _t_of_sums(y0, s_r, s_l, q_r, q_l), w * cv_z + (1.0 - w) * cv_t
+    return t, w * cv_z + (1.0 - w) * cv_t
 
 
 def gate_values(y_right, y_left, y0, cv_z: float, cv_t: float):
@@ -404,21 +393,20 @@ def simulate_rp(test, theta: ThetaFull, mu: float, k: int, n: int, seed: int = 0
 # stage 1: switching constants
 
 
-def _switch_boundary_eta(kappa: float, x_draws: np.ndarray, switch: SwitchConstants, prob: float = 0.9):
-    """Scale at which the switch probability equals ``prob``; None if the
-    tail switches at least that often at every scale."""
+def _switch_boundary_eta(kappa: float, x_draws: np.ndarray, switch: SwitchConstants):
+    """Scale at which the switch probability is 0.9; None if the tail
+    switches at least that often at every scale.  With more than 5 draws,
+    ``need`` <= (0.9 - frac_always)·draws + 0.5 < ``h.size``."""
     a1 = x_draws[:, 0] + kappa
     ak = x_draws[:, -1] + kappa
     always = (a1 <= 0.0) | (ak <= 0.0) | (a1 <= (1.0 + switch.rho_r) * ak)
     frac_always = always.mean()
-    if frac_always >= prob:
+    if frac_always >= 0.9:
         return None
     h = switch.rho1 / a1[~always]
-    need = int(round((prob - frac_always) * x_draws.shape[0]))
+    need = int(round((0.9 - frac_always) * x_draws.shape[0]))
     if need < 1:
         return None
-    if need > h.size:
-        need = h.size
     return float(np.sort(h)[-need])
 
 
@@ -896,20 +884,17 @@ class TestEvaluator:
 
     Atoms share tails (the desk table's 717 full atoms use 150 tails, all
     among its 156 single atoms), so each block of rows makes one f_T and M*
-    kernel call per tail block at the table's distinct tails, ``tails``: the
-    single atoms' tails in table order, then every other full-atom tail.
-    Tails are told apart by their float64 bytes.  The conditions gather
+    kernel call per tail block at the table's distinct tails, ``tails``, in
+    ``np.unique``'s order of their float64 bytes.  The conditions gather
     their atoms' columns of those grids (``s_col``, ``l_col``, ``r_col``),
-    so every term is the value a per-atom kernel call gives.  Both tails of
-    a block share one f_a call, which evaluates each distinct spacing row
-    once."""
+    so every term is the value a per-atom kernel call gives, and sum the
+    terms in the table's atom order, which the column order never enters.
+    Both tails of a block share one f_a call, which evaluates each distinct
+    spacing row once."""
 
     __test__ = False  # not a pytest class
 
     def __init__(self, table):
-        self.table = table
-        self.k = table.k
-        self.alpha = table.alpha
         self.switch = SwitchConstants(table.rho1, table.rho_r)
         self.xi_grid = tuple(table.xi_grid)
         self.cv_z, self.cv_t = critical_values(table.alpha)
@@ -917,13 +902,11 @@ class TestEvaluator:
         f = np.fromiter(chain.from_iterable(table.full_atoms), float).reshape(-1, 7)
         self.s_lam, self.f_lam = s[:, 0].copy(), f[:, 0].copy()
         # every atom's (kappa, eta, xi): the single atoms, then each full
-        # atom's left and right tail; distinct rows in first-occurrence order
+        # atom's left and right tail
         rows = np.concatenate([s[:, 1:], f[:, 1:].reshape(-1, 3)])
         keys = rows.view(np.dtype((np.void, 24))).ravel()  # one 24-byte key per row
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        col = np.argsort(order)[inverse]
-        self.tails = rows[first[order]].T.copy()
+        _, first, col = np.unique(keys, return_index=True, return_inverse=True)
+        self.tails = rows[first].T.copy()
         self.s_col = col[: s.shape[0]]
         self.l_col, self.r_col = col[s.shape[0] :].reshape(-1, 2).T.copy()
 

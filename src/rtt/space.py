@@ -27,6 +27,11 @@ KAPPA_SPAN = 12.0
 # xi < 1/2 constraint.
 XI_GRID_MAX = 0.499
 
+# Lowest scale of interior draws, as a fraction of the (d)-binding scale, and
+# the most draws ``sample_interior`` makes.
+_INTERIOR_ETA_LO_FRAC = 2e-3
+_INTERIOR_TRIES = 200_000
+
 
 @dataclass(frozen=True)
 class SpaceConfig:
@@ -135,9 +140,10 @@ def kappa_min(xi: float, cfg: SpaceConfig) -> float:
     return -float(m1.mean())
 
 
-def kappa_max(xi: float, cfg: SpaceConfig, span: float = KAPPA_SPAN) -> float:
-    """Grid truncation: the inward-shift bound (b) for heavy shapes, else a span."""
-    hi = kappa_min(xi, cfg) + span
+def kappa_max(xi: float, cfg: SpaceConfig) -> float:
+    """Grid truncation: the inward-shift bound (b) for heavy shapes, else
+    ``KAPPA_SPAN`` above the lowest location."""
+    hi = kappa_min(xi, cfg) + KAPPA_SPAN
     if xi > 0.0:
         hi = min(hi, 1.0 / xi)
     return hi
@@ -163,7 +169,6 @@ def single_tail_grid(
     n_kappa: int,
     n_eta: int,
     eta_lo_frac: float = 0.05,
-    kappa_span: float = KAPPA_SPAN,
     include_h_binding: bool = False,
 ) -> list[TailParams]:
     """Deterministic grid over one tail's parameters satisfying (a)-(d).
@@ -174,7 +179,7 @@ def single_tail_grid(
     out = []
     for xi in np.linspace(-0.5, XI_GRID_MAX, n_xi):
         k_lo = kappa_min(xi, cfg)
-        k_hi = kappa_max(xi, cfg, kappa_span)
+        k_hi = kappa_max(xi, cfg)
         for kappa in np.linspace(k_lo, k_hi, n_kappa):
             e_max = eta_max_d(kappa, xi, cfg)
             for eta in e_max * np.geomspace(eta_lo_frac, 1.0, n_eta):
@@ -208,24 +213,20 @@ def boundary_grid(cfg: SpaceConfig, resolution: int) -> list[ThetaFull]:
     return out
 
 
-def sample_interior(
-    cfg: SpaceConfig,
-    m: int,
-    rng: np.random.Generator,
-    eta_lo_frac: float = 2e-3,
-    max_tries: int = 200_000,
-) -> list[ThetaFull]:
-    """Random interior points of the space (rejection sampling)."""
+def sample_interior(cfg: SpaceConfig, m: int, rng: np.random.Generator) -> list[ThetaFull]:
+    """Random interior points of the space (rejection sampling, at most
+    ``_INTERIOR_TRIES`` draws); scales are log-uniform from
+    ``_INTERIOR_ETA_LO_FRAC`` of the (d)-binding scale up to it."""
     out = []
     tries = 0
-    while len(out) < m and tries < max_tries:
+    while len(out) < m and tries < _INTERIOR_TRIES:
         tries += 1
         tails = []
         for _ in range(2):
             xi = rng.uniform(-0.5, XI_GRID_MAX)
             kappa = rng.uniform(kappa_min(xi, cfg), kappa_max(xi, cfg))
             e_max = eta_max_d(kappa, xi, cfg)
-            eta = e_max * np.exp(rng.uniform(np.log(eta_lo_frac), 0.0))
+            eta = e_max * np.exp(rng.uniform(np.log(_INTERIOR_ETA_LO_FRAC), 0.0))
             tails.append(TailParams(float(kappa), float(eta), float(xi)))
         theta = ThetaFull(left=tails[0], right=tails[1])
         if contains(theta, cfg):

@@ -12,8 +12,10 @@ serialized table decouples the two.  The format is line-oriented UTF-8 text:
     CHECKSUM <sha256 hex over all preceding lines>
 
 Reals are written with 17 significant digits, which round-trips IEEE doubles
-exactly.  Atoms are canonically sorted before writing so equal tables produce
-identical bytes and digests.
+exactly.  A table sorts its atoms when it is constructed (on their
+parameters, weight last), so a built table, its file and the table read back
+hold one atom order: equal tables have identical bytes, digests, hashes and
+runtime sums.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ _F_ROW = "F " + " ".join(["%.17g"] * 7)
 
 @dataclass(frozen=True)
 class TestTable:
-    """A fully determined test: atoms, switching constants, and provenance."""
+    """A fully determined test: atoms (in the file's order), switching
+    constants, and provenance."""
 
     __test__ = False  # not a pytest class
 
@@ -84,6 +87,10 @@ class TestTable:
                 raise TableFormatError("field F: full atom needs positive weight and scales")
             if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
                 raise TableFormatError("field F: full atom fields must be finite")
+        # the file's atom order, from construction on
+        key = lambda r: (r[1:], r[0])
+        object.__setattr__(self, "single_atoms", tuple(sorted(self.single_atoms, key=key)))
+        object.__setattr__(self, "full_atoms", tuple(sorted(self.full_atoms, key=key)))
 
     @cached_property
     def _hash(self) -> int:
@@ -101,24 +108,8 @@ class TestTable:
         payload = "\n".join(_body_lines(self)).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
-    def canonical(self) -> "TestTable":
-        """Atoms sorted lexicographically on parameters (weight last)."""
-        skey = lambda r: (r[1:], r[0])
-        return TestTable(
-            k=self.k,
-            n0=self.n0,
-            alpha=self.alpha,
-            rho1=self.rho1,
-            rho_r=self.rho_r,
-            single_atoms=tuple(sorted(self.single_atoms, key=skey)),
-            full_atoms=tuple(sorted(self.full_atoms, key=skey)),
-            xi_grid=self.xi_grid,
-            build_metadata=self.build_metadata,
-        )
-
 
 def _body_lines(t: TestTable) -> list[str]:
-    t = t.canonical()
     lines = [
         f"{FORMAT_TAG} {t.k} {t.n0} {_fmt(t.alpha)}",
         f"SWITCH {_fmt(t.rho1)} {_fmt(t.rho_r)}",
@@ -132,7 +123,7 @@ def _body_lines(t: TestTable) -> list[str]:
 
 
 def table_checksum(t: TestTable) -> str:
-    """SHA-256 over the canonical serialization (excluding the digest line)."""
+    """SHA-256 over the serialization (excluding the digest line)."""
     return t._digest
 
 

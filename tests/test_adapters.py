@@ -79,7 +79,8 @@ class TestGmm:
 
     def test_sandwich_t_equivalence(self):
         # t test on the effective observations reproduces the cluster-robust
-        # GMM t up to the sqrt((n-1)/n) sample-variance divisor
+        # GMM t up to the sqrt((n-1)/n) sample-variance divisor; the Jacobian
+        # is the per-unit one, so the sandwich divides by the unit count
         rng = np.random.default_rng(4)
         n_units, r, q = 90, 3, 2
         z = rng.normal(size=(n_units, r))
@@ -100,7 +101,7 @@ class TestGmm:
         for j in range(r):
             g_hat[:, j] = np.bincount(inv, weights=g[:, j])
         s = g_hat @ a
-        se = math.sqrt(float(s @ s)) / n
+        se = math.sqrt(float(s @ s)) / n_units
         t_cr = (theta_hat[0] - beta0) / se
         assert_allclose(t_w, t_cr * math.sqrt((n - 1.0) / n), rtol=1e-10)
 
@@ -125,6 +126,25 @@ class TestGmm:
                     clusters=np.arange(5),
                 )
             )
+
+    def test_ols_moment_reproduces_clustered_ols(self):
+        # the per-observation OLS moment with its finite-difference Jacobian
+        # gives clustered_ols_w's effective observations, 10 units a cluster
+        d = _cluster_data(seed=12, n_cl=40, t_i=10)
+        design = np.column_stack([d.x, d.controls])
+
+        def g_fn(theta, data):
+            return data * (d.y - data @ theta)[:, None]
+
+        theta_hat = np.linalg.lstsq(design, d.y, rcond=None)[0]
+        prob = GmmProblem(
+            moments=g_fn(theta_hat, design),
+            jacobian=finite_difference_jacobian(g_fn, theta_hat, design),
+            weight=np.eye(design.shape[1]),
+            theta_hat=theta_hat,
+            clusters=d.clusters,
+        )
+        assert_allclose(gmm_w(prob), clustered_ols_w(d), rtol=1e-8)
 
     def test_finite_difference_jacobian(self):
         rng = np.random.default_rng(5)

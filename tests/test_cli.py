@@ -159,6 +159,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{data}, column 'value', data row 2: not a number: 'abc'" in err
 
+    @pytest.mark.parametrize("command", ["test", "pvalue"])
+    def test_non_finite_mean(self, command, tmp_path, smoke_tables, capsys):
+        root, paths = smoke_tables
+        data = tmp_path / "w.txt"
+        data.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(0).standard_normal(60)))
+        assert main([command, "--data", str(data), "--mu0", "nan", *_source_args(command, paths, root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hypothesized mean nan" in err
+
     def test_non_numeric_line_is_invalid_argument(self, tmp_path):
         data = tmp_path / "w.txt"
         data.write_text("1.0\nabc\n")

@@ -240,6 +240,19 @@ class TestDesignConfig:
         with pytest.raises(ConfigurationError, match="line 2: unknown key 'rep'"):
             parse_design_config("population = LogN\nrep = 10")
 
+    @pytest.mark.parametrize("text, match", [
+        pytest.param("alpha = 0", "alpha", id="alpha_zero"),
+        pytest.param("alpha = nan", "alpha", id="alpha_nan"),
+        pytest.param("alpha = 1.5", "alpha", id="alpha_above_one"),
+        pytest.param("n = 1\nmethods = sym_boot", "n=1", id="one_observation"),
+        pytest.param("n = 9\nmethods = new\ntable = desk", r"n >= 10 .* k=4", id="n_below_2k_plus_2"),
+        pytest.param("ci = true\ncalibration_reps = 0", "calibration", id="ci_without_calibration"),
+        pytest.param("methods = asym_boot\nbootstrap_b = 98", "bootstrap_b=98", id="too_few_resamples"),
+    ])
+    def test_values_checked(self, text, match):
+        with pytest.raises(InvalidArgument, match=match):
+            parse_design_config(f"population = LogN\n{text}", table_loader=lambda _: read_table(DESK))
+
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_design_config("population = LogN\nbogus line")

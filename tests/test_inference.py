@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from rtt import inference
 from rtt.errors import (
     ConfigurationError,
     DegenerateSample,
+    InvalidArgument,
     SampleTooSmall,
 )
 from rtt.inference import (
@@ -200,6 +202,27 @@ class TestDecide:
             dec = decide(w, mu0, TBL)
             assert (abs(dec.t_statistic) > dec.critical_value) == passes == dec.reject
             assert calls == {"gate": 1, "lr": int(passes)}
+
+
+class TestNonFiniteMean:
+    """A mean whose standardized row is not finite is an error on every
+    single-mean query, not a silent accept."""
+
+    @pytest.mark.parametrize(
+        "mu0", [math.nan, math.inf, -math.inf, 1e308, pytest.param(np.float32("nan"), id="float32_nan")]
+    )
+    def test_every_single_mean_query_raises(self, mu0):
+        w = np.random.default_rng(5).normal(size=50)
+        tables = TableSet([gate_only_table(a) for a in (0.05, 0.2)])
+        queries = (
+            lambda: decide(w, mu0, TBL),
+            lambda: p_value(w, mu0, tables),
+            lambda: tables.raw_decisions(w, mu0),
+            lambda: tables.nested_reject(w, mu0, 0.05),
+        )
+        for query in queries:
+            with pytest.raises(InvalidArgument, match=re.escape(f"hypothesized mean {mu0!r}")):
+                query()
 
 
 class TestPValue:

@@ -1,21 +1,26 @@
 """The runtime and the solver reproduce what the benchmark recorded.
 
 ``perfbench/data/golden.json`` holds the desk table's ``decide_batch`` bits on
-10,000 standardized master rows and the checksum of the benchmark's build.
-Checking them here makes a change that flips a decision or moves a table
-byte fail the test suite, not only the benchmark.  The confidence intervals
-of the benchmark's ``interval`` and ``interval_set`` samples are pinned bit
-for bit: the benchmark only checks them within a tolerance.
+10,000 standardized master rows, the checksum of the benchmark's build and
+the ``experiment`` cells' rejection counts and interval length ratios.
+Checking them here makes a change that flips a decision, moves a table byte
+or lets the harness or an adapter drift fail the test suite, not only the
+benchmark.  The confidence intervals of the benchmark's ``interval`` and
+``interval_set`` samples are pinned bit for bit: the benchmark only checks
+them within a tolerance.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import rtt.inference
+import rtt.solver
 from rtt.inference import TableSet, confidence_interval
 from rtt.solver import TestEvaluator, build_table
-from rtt.table import table_checksum
+from rtt.table import dumps_table, loads_table, table_checksum
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -61,6 +66,50 @@ def test_interval_endpoints_are_pinned():
             assert tuple(map(float.hex, got)) == (lo, hi)
 
 
-def test_build_checksum_matches_golden():
+@pytest.fixture(scope="module")
+def benchmark_build():
+    return build_table(_workloads().build_config())
+
+
+def test_build_checksum_matches_golden(benchmark_build):
+    assert table_checksum(benchmark_build) == _workloads().load_golden()["build"]["checksum"]
+
+
+def test_built_table_is_its_stored_copy(benchmark_build, monkeypatch):
+    # one atom order from construction: the built table and the table read
+    # back from its file are equal, share a hash and one cached evaluator,
+    # and sum every denominator in the same order
+    stored = loads_table(dumps_table(benchmark_build))
+    assert stored == benchmark_build and hash(stored) == hash(benchmark_build)
+    assert rtt.inference._evaluator(stored) is rtt.inference._evaluator(benchmark_build)
+    yr, yl, y0 = _workloads().standardized_rows(range(2000))
+    runs = []
+    for table in (benchmark_build, stored):
+        denoms = []
+
+        def spy(term, lam):
+            denoms.append(real(term, lam))
+            return denoms[-1]
+
+        real = rtt.solver._denom_rows
+        monkeypatch.setattr(rtt.solver, "_denom_rows", spy)
+        bits = TestEvaluator(table).decide_batch(yr, yl, y0)
+        monkeypatch.undo()
+        runs.append((bits, denoms))
+    (bits_a, den_a), (bits_b, den_b) = runs
+    assert 0 < bits_a.sum() and np.array_equal(bits_a, bits_b)
+    assert len(den_a) == len(den_b) > 2
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(den_a, den_b))
+
+
+def test_experiment_cells_match_golden():
+    # every full cell: rejection counts exactly, CI length ratios within the
+    # benchmark's REL_LENGTH_TOL
     W = _workloads()
-    assert table_checksum(build_table(W.build_config())) == W.load_golden()["build"]["checksum"]
+    work = W.ExperimentWorkload(W.load_golden(), W.load_tables())
+    items = work.inputs(0)
+    work.prepare(W.load_tables(), items)
+    assert len(items) == 7 * len(W.EXPERIMENT_CELLS) == 42
+    for item in items:
+        output, _ = work.op(item)
+        assert work.check(item, output) is None

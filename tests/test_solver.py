@@ -51,8 +51,8 @@ from rtt.solver import (
     smoke_build_config,
     spot_check,
     build_table,
+    gate_values,
     switching_index,
-    t_statistic,
 )
 from rtt.space import SpaceConfig, boundary_grid, sample_interior
 from rtt.table import TestTable, read_table, table_checksum
@@ -70,7 +70,7 @@ def _never(yr, yl, y0):
 
 
 def _t_gt_2(yr, yl, y0):
-    return np.abs(t_statistic(yr, yl, y0)) > 2.0
+    return np.abs(gate_values(yr, yl, y0, 0.0, 0.0)[0]) > 2.0
 
 
 @pytest.fixture(scope="module")

@@ -43,13 +43,13 @@ class TestRoundTrip:
     def test_hundred_random_tables(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            t = random_table(rng).canonical()
+            t = random_table(rng)
             back = loads_table(dumps_table(t))
             assert back == t
             assert table_checksum(back) == table_checksum(t)
 
     def test_file_destination(self, tmp_path):
-        t = random_table(np.random.default_rng(1)).canonical()
+        t = random_table(np.random.default_rng(1))
         path = tmp_path / "t.rtt"
         write_table(t, path)
         assert read_table(path) == t
@@ -86,6 +86,8 @@ class TestChecksum:
             xi_grid=t.xi_grid, build_metadata=t.build_metadata,
         )
         assert table_checksum(shuffled) == table_checksum(t)
+        # a table keeps its atoms in the file's order from construction on
+        assert shuffled == t and shuffled.single_atoms == t.single_atoms
 
 
 class TestHash:
@@ -103,8 +105,7 @@ class TestHash:
             single_atoms=t.single_atoms, full_atoms=t.full_atoms,
             xi_grid=t.xi_grid, build_metadata=t.build_metadata,
         )
-        c = t.canonical()
-        assert hash(loads_table(dumps_table(c))) == hash(c)
+        assert hash(loads_table(dumps_table(t))) == hash(t)
         assert other != t and hash(other) != hash(t)
 
 
