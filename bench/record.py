@@ -27,6 +27,10 @@ seed 77, cycling the seven populations, each shifted by a N(0, 0.35^2)
 mean; the first 24 at level 0.95 on the desk table, the last 8 at 0.80 on
 the nested set of the desk, a10 and a20 tables.  ``intervals.identical``
 says whether both sides returned the same endpoints bit for bit.  The
+page-fault figure is each side's ``ru_minflt`` (minor page faults) over
+each of three ``decide_batch`` calls on the ``batch`` workload's 5,000-row
+block (seed 1) with the desk table, made in one process; each side runs two
+such processes, the sides alternating.  The
 record also keeps each side's line count of every ``src/rtt/*.py`` and
 their total, so a change's size is in its BENCH file.
 
@@ -125,6 +129,28 @@ for key, (count, level, target) in targets.items():
                 "sha256": hashlib.sha256(" ".join(ends).encode()).hexdigest()}
 print(json.dumps(out))
 """
+
+FAULTS_SNIPPET = """
+import json, resource, sys
+sys.path[:0] = ["src", "perfbench"]
+import bench_env
+bench_env.prepare()
+import numpy as np
+import workloads as W
+from rtt.solver import TestEvaluator
+rng = np.random.default_rng([W.MASTER_SEED, 1])
+idx = np.sort(rng.choice(W.BATCH_MASTER_ROWS, size=W.BATCH_ROWS, replace=False))
+rows = W.batch_indices(W.BATCH_MASTER_ROWS)
+yr, yl, y0 = W.standardized_rows([rows[j] for j in idx])
+ev = TestEvaluator(W.load_tables()["desk"])
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ev.decide_batch(yr, yl, y0)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+FAULT_PROCESSES = 2  # per side, alternating which side runs first
 
 
 def git(*args: str) -> str:
@@ -294,6 +320,11 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
         for side in SIDES
     }
     record["intervals"]["identical"] = record["intervals"]["base"] == record["intervals"]["head"]
+    faults = {side: [] for side in SIDES}
+    for i in range(FAULT_PROCESSES):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            faults[side].append(json.loads(run([sys.executable, "-c", FAULTS_SNIPPET], trees[side]).splitlines()[-1]))
+    record["page_faults"] = {"op": "ru_minflt per 5,000-row desk decide_batch, three calls per process", **faults}
     if args.desk:
         record["desk"] = {side: desk(trees[side], scratch, side) for side in SIDES}
     if "desk" in record:

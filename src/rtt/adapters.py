@@ -78,8 +78,9 @@ def two_sample_w(sample1, sample2) -> np.ndarray:
     b = np.asarray(sample2, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
         raise InvalidArgument("the two samples must be one-dimensional and equal-sized")
-    diff = a.mean() - b.mean()
-    return np.concatenate([diff + 2.0 * (a - a.mean()), diff - 2.0 * (b - b.mean())])
+    mean_a, mean_b = a.mean(), b.mean()
+    diff = mean_a - mean_b
+    return np.concatenate([diff + 2.0 * (a - mean_a), diff - 2.0 * (b - mean_b)])
 
 
 def _cluster_sums(values: np.ndarray, labels: np.ndarray) -> np.ndarray:

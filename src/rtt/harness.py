@@ -233,19 +233,27 @@ def _generate(design: ExperimentDesign, pop: Population, rng: np.random.Generato
     return clustered_ols_w(dataset), dataset
 
 
-def _plain_t_stat(w: np.ndarray) -> float:
-    return float(w.mean() / (w.std(ddof=1) / math.sqrt(w.size)))
+def _plain_t_stat(w: np.ndarray) -> np.ndarray:
+    """The plain t statistic of each row of ``w``: numpy reduces each row
+    of a C-ordered block as it reduces that row alone."""
+    return w.mean(axis=-1) / (w.std(ddof=1, axis=-1) / math.sqrt(w.shape[-1]))
+
+
+_CALIBRATION_BLOCK = 1024  # replications per t-statistic pass; bounds its memory
 
 
 def size_corrected_benchmark(design: ExperimentDesign) -> float:
     """Critical value making the plain t test exactly level-alpha by
-    simulation under the design (the infeasible benchmark)."""
+    simulation under the design (the infeasible benchmark).  Each
+    replication draws from its own stream; the statistics are computed a
+    block of replications at a time."""
     pop = make_population(design.population)
-    stats_ = np.empty(design.calibration_reps)
-    for r in range(design.calibration_reps):
-        rng = np.random.default_rng([design.seed, 10 ** 6 + r])
-        eff, _ = _generate(design, pop, rng)
-        stats_[r] = _plain_t_stat(eff)
+    reps = design.calibration_reps
+    stats_ = np.empty(reps)
+    for lo in range(0, reps, _CALIBRATION_BLOCK):
+        hi = min(lo + _CALIBRATION_BLOCK, reps)
+        block = [_generate(design, pop, np.random.default_rng([design.seed, 10 ** 6 + r]))[0] for r in range(lo, hi)]
+        stats_[lo:hi] = _plain_t_stat(np.stack(block))
     return float(np.quantile(np.abs(stats_), 1.0 - design.alpha))
 
 

@@ -55,6 +55,8 @@ class SampleSummary:
 def summarize(w, k: int, mu0: float = 0.0) -> SampleSummary:
     """Shift by ``mu0``, split off both k-tails, summarize (the runtime
     summarizes at 0 only; ``_rows`` moves the summary to other means)."""
+    if not math.isfinite(mu0):
+        raise InvalidArgument(f"hypothesized mean {mu0!r} is not finite")
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise InvalidArgument("sample must be one-dimensional")
@@ -80,11 +82,14 @@ def summarize(w, k: int, mu0: float = 0.0) -> SampleSummary:
 def _rows(s: SampleSummary, mu0s):
     """(y_right, y_left, y0) of ``s`` shifted affinely to the mean or array of
     means ``mu0s``: one row, or one per mean, each equal bit for bit to its
-    row in any array.  A single number takes the cheap float path, the one
-    every single-mean query takes, which rejects a mean whose row is not
-    finite (a NaN or infinite mean, or one that overflows it)."""
+    row in any array.  A single number, or a 0-d array, takes the cheap
+    float path, the one every single-mean query takes, which rejects a mean
+    whose row is not finite (a NaN or infinite mean, or one that overflows
+    it)."""
     d = s.denom
     one = isinstance(mu0s, (float, int, np.number))
+    if not one and np.ndim(mu0s) == 0:
+        return _rows(s, float(mu0s))
     if one:
         shift = col = float(mu0s) / d
     else:

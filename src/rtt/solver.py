@@ -889,8 +889,9 @@ class TestEvaluator:
     their atoms' columns of those grids (``s_col``, ``l_col``, ``r_col``),
     so every term is the value a per-atom kernel call gives, and sum the
     terms in the table's atom order, which the column order never enters.
-    Both tails of a block share one f_a call, which evaluates each distinct
-    spacing row once."""
+    A batch makes one f_a call, on both tails of every gate-passing row,
+    which evaluates each distinct spacing row once; a row's f_a bits depend
+    on that row alone, so the blocks then read their slices of it."""
 
     __test__ = False  # not a pytest class
 
@@ -932,16 +933,28 @@ class TestEvaluator:
         out = np.zeros(y0.shape, dtype=bool)
         c1 = np.atleast_1d(self.condition1(yr, yl, y0))
         passing = np.flatnonzero(c1)
-        for lo in range(0, passing.size, _DECIDE_CHUNK):
-            idx = passing[lo : lo + _DECIDE_CHUNK]
-            out[idx] = self._lr_conditions(yr[idx], yl[idx], y0[idx])
+        if passing.size:
+            out[passing] = self._lr_conditions(yr[passing], yl[passing], y0[passing])
         return out
 
     def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray) -> np.ndarray:
-        """Conditions 2 to 4 on gate-passing rows; ``y0s`` is already the
-        difference the solver forms as y0_r - y0_l, so y0_l is 0 here.
-        Condition 4 is evaluated only where 2 and 3 hold, as in the solver."""
+        """Conditions 2 to 4 on gate-passing rows: one f_a call for both
+        tails of every row, then blocks of ``_DECIDE_CHUNK`` rows, which
+        bound the memory of the tail grids."""
         logfa_r, logfa_l = np.split(log_f_a_single(np.concatenate([yrs, yls]), self.xi_grid, DEFAULT_NODES), 2)
+        out = np.empty(y0s.shape, dtype=bool)
+        for lo in range(0, y0s.size, _DECIDE_CHUNK):
+            b = slice(lo, lo + _DECIDE_CHUNK)
+            out[b] = self._block_conditions(yrs[b], yls[b], y0s[b], logfa_r[b], logfa_l[b])
+        return out
+
+    def _block_conditions(
+        self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray, logfa_r: np.ndarray, logfa_l: np.ndarray
+    ) -> np.ndarray:
+        """Conditions 2 to 4 on a block of gate-passing rows given their log
+        f_a; ``y0s`` is already the difference the solver forms as
+        y0_r - y0_l, so y0_l is 0 here.  Condition 4 is evaluated only where
+        2 and 3 hold, as in the solver."""
         chi_r = switching_index(yrs, self.switch)
         chi_l = switching_index(yls, self.switch)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -155,6 +155,27 @@ class TestOnePassMatchesPerShapeLoop:
             assert np.array_equal(log_f_a_single(y, GRIDS[grid], nodes), want)
             assert log_f_a_single(y[7], GRIDS[grid], nodes) == want[7]
 
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_bit_identical_long_blocks(self, k):
+        # the integrand adds one spacing column at a time into its buffer,
+        # in the order a sum over the column axis adds them
+        rng = np.random.default_rng(200 + k)
+        y = _tail_rows(rng, 300, k)
+        for grid in ("default", "negative", "positive"):
+            want = _reference_log_f_a(y, GRIDS[grid], 40)
+            assert np.array_equal(log_f_a_single(y, GRIDS[grid], 40), want)
+
+    @pytest.mark.parametrize("grid", ["default", "negative", "positive"])
+    def test_short_last_chunk_in_reused_buffers(self, grid):
+        # every chunk reuses buffers sized for the first, full one: a last
+        # chunk of a few rows reads only its own part of them
+        xi_grid = GRIDS[grid]
+        step = _CHUNK // len(xi_grid)
+        rng = np.random.default_rng(31)
+        y = np.sort(rng.standard_t(3, size=(2 * step + 3, 5)), axis=1)[:, ::-1].copy()
+        assert np.array_equal(log_f_a_single(y, xi_grid), _reference_log_f_a(y, xi_grid, 40))
+        assert np.array_equal(log_f_a_single(y[-3:], xi_grid), _reference_log_f_a(y[-3:], xi_grid, 40))
+
     def test_bit_identical_across_chunks(self):
         # numpy sums a one-column (shapes, 1) array pairwise but wider ones
         # row by row: a row alone in the last 4096-row block or in the last
@@ -208,10 +229,10 @@ class TestDistinctSpacingRows:
 
         real, seen = fa_mod._log_fa_shapes, []
 
-        def spy(dl, xi, r, logjac):
+        def spy(dl, xi, r, logjac, work):
             if xi[0] > 0.0:  # one of the two calls per block
                 seen.extend(row.tobytes() for row in dl)
-            return real(dl, xi, r, logjac)
+            return real(dl, xi, r, logjac, work)
 
         monkeypatch.setattr(fa_mod, "_log_fa_shapes", spy)
         log_f_a_single(y)

@@ -16,6 +16,7 @@ from rtt.harness import (
     size_corrected_benchmark,
     t_test,
     wild_cluster_boot,
+    _CALIBRATION_BLOCK,
     _generate,
 )
 from rtt.populations import make_population, population_names
@@ -183,6 +184,27 @@ class TestRunExperiment:
         )
         cv = size_corrected_benchmark(design)
         assert abs(cv - stats.t.ppf(0.975, 49)) < 0.06
+
+    @pytest.mark.parametrize(
+        "adapter, populations",
+        [("mean", population_names()), ("two_sample", population_names()), ("cluster_ols", ("N(0,1)", "LogN"))],
+        ids=["mean", "two_sample", "cluster_ols"],
+    )
+    def test_blocked_calibration_matches_per_replication_loop(self, adapter, populations):
+        # the stacked t statistics give the per-replication loop's critical
+        # value bit for bit, over several blocks and a short last one
+        reps = 2 * _CALIBRATION_BLOCK + 37 if adapter != "cluster_ols" else _CALIBRATION_BLOCK + 5
+        for name in populations:
+            design = ExperimentDesign(
+                population=name, adapter=adapter, n=40, replications=1, seed=12, calibration_reps=reps,
+            )
+            pop = make_population(name)
+            looped = []
+            for r in range(reps):
+                w, _ = _generate(design, pop, np.random.default_rng([design.seed, 10 ** 6 + r]))
+                looped.append(float(w.mean() / (w.std(ddof=1) / math.sqrt(w.size))))
+            want = float(np.quantile(np.abs(looped), 1.0 - design.alpha))
+            assert size_corrected_benchmark(design) == want
 
     def test_report_csv_shape(self):
         design = ExperimentDesign(

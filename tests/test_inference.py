@@ -224,6 +224,23 @@ class TestNonFiniteMean:
             with pytest.raises(InvalidArgument, match=re.escape(f"hypothesized mean {mu0!r}")):
                 query()
 
+    def test_zero_d_array_mean_is_one_mean(self):
+        # a 0-d array is checked like the number it holds, and otherwise
+        # decides exactly as that number does
+        w = np.random.default_rng(5).normal(size=50)
+        tables = TableSet([gate_only_table(a) for a in (0.05, 0.2)])
+        for query in (lambda m: decide(w, m, TBL), lambda m: p_value(w, m, tables)):
+            with pytest.raises(InvalidArgument, match="hypothesized mean nan"):
+                query(np.array(np.nan))
+        for mu0 in (float(w.mean()), float(w.max() + 10.0 * np.ptp(w))):
+            assert decide(w, np.array(mu0), TBL) == decide(w, mu0, TBL)
+            assert p_value(w, np.array(mu0), tables) == p_value(w, mu0, tables)
+
+    @pytest.mark.parametrize("mu0", [math.nan, math.inf, -math.inf])
+    def test_summarize_rejects_non_finite_mean(self, mu0):
+        with pytest.raises(InvalidArgument, match=re.escape(f"hypothesized mean {mu0!r} is not finite")):
+            summarize(np.random.default_rng(5).normal(size=50), 4, mu0)
+
 
 class TestPValue:
     def make_set(self):

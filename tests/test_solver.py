@@ -530,24 +530,24 @@ class TestDistinctTailColumns:
         assert {cols for _, cols in calls} == {156}
         assert sum(rows for rows, _ in calls) == 2 * ev.condition1(yr, yl, y0).sum()
 
-    def test_one_f_a_call_per_block_for_both_tails(self, monkeypatch):
+    def test_one_f_a_call_per_batch_for_both_tails(self, monkeypatch):
         import rtt.solver as solver_mod
 
         calls = []
 
         def spy(y, xi_grid, nodes):
-            calls.append(np.atleast_2d(y).shape[0])
+            calls.append(np.atleast_2d(y).copy())
             return log_f_a_single(y, xi_grid, nodes)
 
         ev = TestEvaluator(read_table(DESK))
         yr, yl, y0 = _evaluator_rows(12)
-        passing = int(ev.condition1(yr, yl, y0).sum())
-        blocks = -(-passing // _DECIDE_CHUNK)
+        passing = np.flatnonzero(ev.condition1(yr, yl, y0))
         want = ev.decide_batch(yr, yl, y0)
         monkeypatch.setattr(solver_mod, "log_f_a_single", spy)
         assert np.array_equal(ev.decide_batch(yr, yl, y0), want)
-        assert blocks >= 2 and len(calls) == blocks
-        assert sum(calls) == 2 * passing
+        assert passing.size > _DECIDE_CHUNK and len(calls) == 1
+        # every gate-passing row's right tail, then its left tail
+        assert np.array_equal(calls[0], np.concatenate([yr[passing], yl[passing]]))
 
     def test_signed_zeros_are_distinct_tails(self):
         plus, minus = (0.0, 0.05, 0.0), (-0.0, 0.05, 0.0)
