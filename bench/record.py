@@ -26,13 +26,17 @@ interval endpoints (their ``float.hex``): 32 samples of n = 50 drawn from
 seed 77, cycling the seven populations, each shifted by a N(0, 0.35^2)
 mean; the first 24 at level 0.95 on the desk table, the last 8 at 0.80 on
 the nested set of the desk, a10 and a20 tables.  ``intervals.identical``
-says whether both sides returned the same endpoints bit for bit.  The
-page-fault figure is each side's ``ru_minflt`` (minor page faults) over
-each of three ``decide_batch`` calls on the ``batch`` workload's 5,000-row
-block (seed 1) with the desk table, made in one process; each side runs two
-such processes, the sides alternating.  The
-record also keeps each side's line count of every ``src/rtt/*.py`` and
-their total, so a change's size is in its BENCH file.
+says whether both sides returned the same endpoints bit for bit.  For each
+of those intervals the record also keeps, per side, how many f_a quadrature
+blocks ran and how many spacing rows they evaluated: it wraps
+``rtt.fa._log_fa_shapes``, which both sides look up at call time, and counts
+its positive-shape calls, one per quadrature block (at most 195 rows on
+the default 21-shape grid).  The page-fault figure is each side's
+``ru_minflt`` (minor page faults) over each of three ``decide_batch`` calls
+on the ``batch`` workload's 5,000-row block (seed 1) with the desk table,
+made in one process; each side runs two such processes, the sides
+alternating.  The record also keeps each side's line count of every
+``src/rtt/*.py`` and their total, so a change's size is in its BENCH file.
 
 The record keeps, per workload and side, the median, quartiles and
 IQR/median of ``p90_ms``, ``peak_rss_mb`` and ``setup_s`` with every run's
@@ -111,23 +115,34 @@ import bench_env
 bench_env.prepare()
 import numpy as np
 import workloads as W
+import rtt.fa
 from rtt.inference import TableSet, confidence_interval
 from rtt.populations import make_population, population_names
+shapes, blocks = rtt.fa._log_fa_shapes, []
+def counted(dl, xi, *args):
+    if xi[0] > 0.0:  # the positive shapes: one call per quadrature block
+        blocks.append(dl.shape[0])
+    return shapes(dl, xi, *args)
+rtt.fa._log_fa_shapes = counted
 rng = np.random.default_rng(77)
 names = population_names()
 tables = W.load_tables()
 targets = {"desk_095": (24, 0.95, tables["desk"]),
            "set_080": (8, 0.80, TableSet([tables["desk"], tables["a10"], tables["a20"]]))}
-out, i = {}, 0
+out, quad, i = {}, {}, 0
 for key, (count, level, target) in targets.items():
-    ends = []
+    ends, calls, rows = [], [], []
     for _ in range(count):
         w = make_population(names[i % len(names)]).draw(rng, 50) + rng.normal(0.0, 0.35)
+        blocks.clear()
         ends += [e.hex() for e in confidence_interval(w, level, target)]
+        calls.append(len(blocks))
+        rows.append(sum(blocks))
         i += 1
     out[key] = {"intervals": count, "level": level,
                 "sha256": hashlib.sha256(" ".join(ends).encode()).hexdigest()}
-print(json.dumps(out))
+    quad[key] = {"calls": calls, "rows": rows}
+print(json.dumps({"intervals": out, "quadrature": quad}))
 """
 
 FAULTS_SNIPPET = """
@@ -151,6 +166,8 @@ for _ in range(3):
 print(json.dumps(faults))
 """
 FAULT_PROCESSES = 2  # per side, alternating which side runs first
+QUADRATURE_OP = ("per confidence interval of the interval corpus, in order: f_a quadrature blocks "
+                 "(positive-shape rtt.fa._log_fa_shapes calls) and the spacing rows they evaluate")
 
 
 def git(*args: str) -> str:
@@ -315,11 +332,11 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
         for side in SIDES
     }
     record["decisions"]["identical"] = record["decisions"]["base"] == record["decisions"]["head"]
-    record["intervals"] = {
-        side: json.loads(run([sys.executable, "-c", INTERVALS_SNIPPET], trees[side]).splitlines()[-1])
-        for side in SIDES
-    }
+    got = {side: json.loads(run([sys.executable, "-c", INTERVALS_SNIPPET], trees[side]).splitlines()[-1])
+           for side in SIDES}
+    record["intervals"] = {side: got[side]["intervals"] for side in SIDES}
     record["intervals"]["identical"] = record["intervals"]["base"] == record["intervals"]["head"]
+    record["quadrature"] = {"op": QUADRATURE_OP, **{side: got[side]["quadrature"] for side in SIDES}}
     faults = {side: [] for side in SIDES}
     for i in range(FAULT_PROCESSES):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):

@@ -28,10 +28,15 @@ the shapes in grid order, so a one-row call and any batch give it equal bits.
 
 The density is location-invariant, so a row enters only through its
 spacings, and the rows of one sample shifted to many means (a confidence
-interval's grid and bisection) mostly share them bit for bit.  Rows whose
-spacings are byte-equal are evaluated once and the value is copied back to
-each; since a row's bits depend on that row alone, this is exact.  Rows
-that differ in any byte, -0.0 against 0.0 included, are never merged.
+interval's grid and bisection) mostly share them bit for bit.  A
+``LogFaMemo`` keys rows by their spacings' float64 bytes and runs the
+quadrature once per distinct spacing row in its life, copying the value
+back to each row; since a row's bits depend on that row alone, this is
+exact.  Rows that differ in any byte, -0.0 against 0.0 included, are never
+merged.  One runtime query (a decision batch, a p-value, a confidence
+interval) keeps one memo per shape grid, so the quadrature runs once per
+distinct spacing row per query; ``log_f_a_single`` itself evaluates every
+row it is given.
 """
 
 from __future__ import annotations
@@ -164,10 +169,6 @@ def log_f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
     u, logw, pos_map, pos_jac = _node_maps(nodes)
     step = max(1, _CHUNK // zero.size)
     d = ya[:, :-1] - ya[:, -1:]
-    # one quadrature per distinct spacing row, told apart by its float64 bytes
-    keys = np.ascontiguousarray(d).view(np.dtype((np.void, d.itemsize * d.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    d = d[first]
     s = d.sum(axis=1)
     out = np.full(d.shape[0], np.inf)
     # one pair of integrand buffers for every chunk and both shape signs, in
@@ -196,8 +197,40 @@ def log_f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
             part[neg] = _log_fa_shapes(dl, xi_neg, r, logjac, work)
         with np.errstate(invalid="ignore"):
             out[a : a + step][live] = _logsumexp(part, axis=0) - math.log(zero.size)
-    out = out[inverse]
     return float(out[0]) if scalar else out
+
+
+class LogFaMemo:
+    """``log_f_a_single`` under one shape grid and node count, evaluated once
+    per distinct spacing row in the memo's life.
+
+    A call keys its (m, k) rows by the float64 bytes of their spacings
+    y - y_k, runs the quadrature in one call on the first row of each key
+    the memo has not seen, and copies every key's value back to its rows.
+    The memo keeps its keys sorted, as ``np.unique`` returns them, with
+    their values; it lives as long as the query that made it."""
+
+    def __init__(self, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
+        self.xi_grid, self.nodes = tuple(xi_grid), nodes
+        self._keys = self._values = None
+
+    def __call__(self, y) -> np.ndarray:
+        """log f_a of each row of the (m, k) batch ``y``."""
+        y = np.asarray(y, dtype=float)
+        d = y[:, :-1] - y[:, -1:]
+        keys = d.view(np.dtype((np.void, d.itemsize * d.shape[1]))).ravel()
+        if self._keys is None:
+            self._keys, self._values = keys[:0], np.empty(0)
+        seen = self._keys.size
+        # the memo's keys come first, so a key it holds is first seen there
+        keys, first, inverse = np.unique(np.concatenate([self._keys, keys]), return_index=True, return_inverse=True)
+        values = np.empty(keys.size)
+        old = first < seen
+        values[old] = self._values[first[old]]
+        if not old.all():
+            values[~old] = log_f_a_single(y[first[~old] - seen], self.xi_grid, self.nodes)
+        self._keys, self._values = keys, values
+        return values[inverse[seen:]]
 
 
 def f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):

@@ -7,6 +7,13 @@ from a nested family of tables over a level grid; confidence intervals from
 test inversion on a deterministic grid whose two endpoints are refined
 together, several bisection levels per batched decision call, taking exactly
 the steps of one-point-per-call bisection.
+
+f_a is location-invariant, so the rows of one sample at many means share
+their spacing rows.  Each query (``decide``, ``p_value``, ``confidence_interval``,
+``TableSet.raw_decisions`` and ``TableSet.nested_reject``) makes one dict of
+f_a memos (``fa``, keyed by shape grid) right after it standardizes and hands
+it to every decision it makes: the quadrature runs once per distinct spacing
+row per query, and nothing outlives the query.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ def summarize(w, k: int, mu0: float = 0.0) -> SampleSummary:
     v = np.sort(w - mu0)
     middle = v[k : n - k]
     s2 = float(middle.var(ddof=1))
+    # the denominator sqrt((n - 2k) s2) must be finite too
+    if not math.isfinite((n - 2 * k) * s2):
+        raise InvalidArgument("the sample's variance overflows; rescale the data")
     if s2 <= 0.0:
         raise DegenerateSample("middle observations are constant")
     return SampleSummary(
@@ -133,7 +143,7 @@ def _standardize(w, table: TestTable) -> tuple[SampleSummary, tuple[str, ...]]:
     return s, notes
 
 
-def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables) -> np.ndarray:
+def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables, fa: dict) -> np.ndarray:
     """Rows rejected by every given table (the nested rule as a cumulative
     AND); each table is evaluated only on the rows still rejected."""
     reject = np.ones(y0.shape, dtype=bool)
@@ -141,7 +151,7 @@ def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables) -> np.ndarra
         rows = np.flatnonzero(reject)
         if rows.size == 0:
             break
-        reject[rows] = _evaluator(t).decide_batch(yr[rows], yl[rows], y0[rows])
+        reject[rows] = _evaluator(t)._decide_batch(yr[rows], yl[rows], y0[rows], fa)
     return reject
 
 
@@ -153,7 +163,7 @@ def decide(w, mu0: float, table: TestTable) -> Decision:
     # the one gate evaluation gives the Decision's fields and condition 1;
     # conditions 2 to 4 run only on a row that passes it, as in decide_batch
     t, cv = gate_values(yr, yl, y0, ev.cv_z, ev.cv_t)
-    reject = bool(abs(t[0]) > cv[0]) and bool(ev._lr_conditions(yr[None], yl[None], np.array([y0]))[0])
+    reject = bool(abs(t[0]) > cv[0]) and bool(ev._lr_conditions(yr[None], yl[None], np.array([y0]), {})[0])
     return Decision(
         reject=reject, t_statistic=float(t[0]), critical_value=float(cv[0]),
         alpha=table.alpha, notes=notes,
@@ -208,7 +218,8 @@ class TableSet:
         """Each table's own decision, without the nested rule; the tables
         share k and n0, so the sample is standardized (and warned about) once."""
         rows = _rows(_standardize(w, self.tables[0])[0], mu0)
-        return [bool(_evaluator(t).decide_batch(*rows)[0]) for t in self.tables]
+        fa = {}
+        return [bool(_evaluator(t)._decide_batch(*rows, fa)[0]) for t in self.tables]
 
     def nested_reject(self, w, mu0: float, alpha: float) -> bool:
         """Reject at alpha only if all tests at levels >= alpha reject."""
@@ -216,7 +227,7 @@ class TableSet:
         if not tables:
             raise ConfigurationError(f"no table at level >= {alpha}")
         yr, yl, y0 = _rows(_standardize(w, tables[0])[0], mu0)
-        return bool(_nested(yr[None], yl[None], np.array([y0]), tables)[0])
+        return bool(_nested(yr[None], yl[None], np.array([y0]), tables, {})[0])
 
 
 @dataclass(frozen=True)
@@ -238,9 +249,10 @@ def p_value(w, mu0: float, tables: TableSet) -> PValueResult:
     if not isinstance(tables, TableSet):
         tables = TableSet(tables)
     rows = _rows(_standardize(w, tables.tables[0])[0], mu0)
+    fa = {}
     smallest = None
     for t in reversed(tables.tables):
-        if not _evaluator(t).decide_batch(*rows)[0]:
+        if not _evaluator(t)._decide_batch(*rows, fa)[0]:
             break
         smallest = t.alpha
     if smallest is None:
@@ -268,7 +280,7 @@ def _bisection_tree(a_rej: float, b_acc: float, depth: int) -> list[float]:
     return mids
 
 
-def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[TestTable]) -> list[float]:
+def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[TestTable], fa: dict) -> list[float]:
     """Bisect each (rejected, accepted) bracket to its accepted end.
 
     Each round decides the next ``_BISECT_DEPTH`` levels of every live
@@ -283,7 +295,7 @@ def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[
     while live and used < _BISECT_ITER:
         depth = min(_BISECT_DEPTH, _BISECT_ITER - used)
         trees = [_bisection_tree(*brackets[i], depth) for i in live]
-        rejected = _nested(*_rows(s, np.ravel(trees)), tables).reshape(len(live), -1)
+        rejected = _nested(*_rows(s, np.ravel(trees)), tables, fa).reshape(len(live), -1)
         used += depth
         unsettled = []
         for i, mids, rej in zip(live, trees, rejected):
@@ -319,9 +331,10 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     if span <= 0.0:
         raise DegenerateSample("sample has zero range")
     s = _standardize(w, at)[0]
+    fa = {}
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        reject = _nested(*_rows(s, grid), tables)
+        reject = _nested(*_rows(s, grid), tables, fa)
         accept = np.flatnonzero(~reject)
         if accept.size:
             break
@@ -336,6 +349,6 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
         brackets[0] = (grid[lo_idx - 1], grid[lo_idx])
     if hi_idx < grid.size - 1:
         brackets[1] = (grid[hi_idx + 1], grid[hi_idx])
-    for e, end in zip(brackets, _refine(s, list(brackets.values()), tables)):
+    for e, end in zip(brackets, _refine(s, list(brackets.values()), tables, fa)):
         ends[e] = end
     return float(ends[0]), float(ends[1])

@@ -56,7 +56,7 @@ from .errors import (
     InvalidArgument,
     NonconvergenceError,
 )
-from .fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
+from .fa import DEFAULT_NODES, DEFAULT_XI_GRID, LogFaMemo, log_f_a_single
 from .gev import (
     TailParams,
     _row_sum,
@@ -889,9 +889,12 @@ class TestEvaluator:
     their atoms' columns of those grids (``s_col``, ``l_col``, ``r_col``),
     so every term is the value a per-atom kernel call gives, and sum the
     terms in the table's atom order, which the column order never enters.
-    A batch makes one f_a call, on both tails of every gate-passing row,
-    which evaluates each distinct spacing row once; a row's f_a bits depend
-    on that row alone, so the blocks then read their slices of it."""
+    Conditions 2 to 4 read log f_a of both tails of every gate-passing row
+    from one ``LogFaMemo`` call, which runs the quadrature once per distinct
+    spacing row the memo has not seen; a row's f_a bits depend on that row
+    alone, so the blocks then read their slices of it.  ``decide_batch``
+    makes a fresh memo per call; a runtime query hands its memos to all of
+    its decisions, so f_a runs once per distinct spacing row per query."""
 
     __test__ = False  # not a pytest class
 
@@ -927,6 +930,11 @@ class TestEvaluator:
         return np.abs(t) > cv
 
     def decide_batch(self, y_right, y_left, y0) -> np.ndarray:
+        return self._decide_batch(y_right, y_left, y0, {})
+
+    def _decide_batch(self, y_right, y_left, y0, fa: dict) -> np.ndarray:
+        """``decide_batch`` reading log f_a from ``fa``, the caller's f_a
+        memos keyed by shape grid, as ``_lr_conditions`` does."""
         yr = np.atleast_2d(np.asarray(y_right, dtype=float))
         yl = np.atleast_2d(np.asarray(y_left, dtype=float))
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -934,14 +942,17 @@ class TestEvaluator:
         c1 = np.atleast_1d(self.condition1(yr, yl, y0))
         passing = np.flatnonzero(c1)
         if passing.size:
-            out[passing] = self._lr_conditions(yr[passing], yl[passing], y0[passing])
+            out[passing] = self._lr_conditions(yr[passing], yl[passing], y0[passing], fa)
         return out
 
-    def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray) -> np.ndarray:
-        """Conditions 2 to 4 on gate-passing rows: one f_a call for both
+    def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray, fa: dict) -> np.ndarray:
+        """Conditions 2 to 4 on gate-passing rows: one f_a memo call for both
         tails of every row, then blocks of ``_DECIDE_CHUNK`` rows, which
-        bound the memory of the tail grids."""
-        logfa_r, logfa_l = np.split(log_f_a_single(np.concatenate([yrs, yls]), self.xi_grid, DEFAULT_NODES), 2)
+        bound the memory of the tail grids.  The memo is ``fa``'s for the
+        table's shape grid, added to ``fa`` if it has none, so calls that
+        share one ``fa`` share its memos."""
+        memo = fa.setdefault(self.xi_grid, LogFaMemo(self.xi_grid, DEFAULT_NODES))
+        logfa_r, logfa_l = np.split(memo(np.concatenate([yrs, yls])), 2)
         out = np.empty(y0s.shape, dtype=bool)
         for lo in range(0, y0s.size, _DECIDE_CHUNK):
             b = slice(lo, lo + _DECIDE_CHUNK)
@@ -967,9 +978,12 @@ class TestEvaluator:
             out &= self._single_denom(lf_l.take(s, 1), ms_l.take(s, 1), yrs, -y0s, logfa_l + _BOOST * chi_r) < 1.0
             sub = np.flatnonzero(out)
             if sub.size:
-                r, cr, cl = sub[:, None], self.r_col, self.l_col
+                cr, cl = self.r_col, self.l_col
                 shift = (logfa_r[sub] + logfa_l[sub])[:, None]
-                term = joint_log_term(lf_r[r, cr], lf_l[r, cl], ms_r[r, cr], ms_l[r, cl], y0s[sub, None], 0.0, shift)
+                term = joint_log_term(
+                    lf_r[sub].take(cr, 1), lf_l[sub].take(cl, 1), ms_r[sub].take(cr, 1), ms_l[sub].take(cl, 1),
+                    y0s[sub, None], 0.0, shift,
+                )
                 out[sub] = _denom_rows(term, self.f_lam) < 1.0
         return out
 

@@ -7,7 +7,7 @@ from scipy.special import gammaln, logsumexp
 from scipy import integrate
 
 from rtt.errors import InvalidArgument
-from rtt.fa import DEFAULT_XI_GRID, _CHUNK, _logsumexp, _unit_nodes, f_a_single, log_f_a_single
+from rtt.fa import DEFAULT_XI_GRID, _CHUNK, LogFaMemo, _logsumexp, _unit_nodes, f_a_single, log_f_a_single
 from rtt.gev import XI_ZERO_TOL
 
 
@@ -200,6 +200,9 @@ class TestOneRowMatchesBatch:
 
 
 class TestDistinctSpacingRows:
+    """``LogFaMemo`` runs the quadrature once per distinct spacing row in its
+    life, with the bits of ``log_f_a_single`` on each row alone."""
+
     @staticmethod
     def _batch():
         # one sample's right tail shifted to many means, as a confidence
@@ -217,25 +220,32 @@ class TestDistinctSpacingRows:
 
     def test_bits_match_reference_and_rows_alone(self):
         y = self._batch()
-        got = log_f_a_single(y)
-        assert np.array_equal(got, _reference_log_f_a(y, DEFAULT_XI_GRID, 40))
+        want = _reference_log_f_a(y, DEFAULT_XI_GRID, 40)
+        got = LogFaMemo()(y)
+        assert np.array_equal(got, want)
         assert np.array_equal(got, [log_f_a_single(row) for row in y])
+        assert np.array_equal(log_f_a_single(y), want)
         assert np.isposinf(got).sum() >= 5
+        # a memo that has seen every row returns the same bits
+        memo = LogFaMemo()
+        memo(y[::2])
+        assert np.array_equal(memo(y), want)
 
     @staticmethod
-    def _quadrature_rows(monkeypatch, y):
-        """The spacing rows, as bytes, that reach the quadrature."""
+    def _quadrature_rows(monkeypatch, call):
+        """The spacing rows, as bytes, that reach the quadrature while
+        ``call()`` runs, one list per quadrature block."""
         import rtt.fa as fa_mod
 
         real, seen = fa_mod._log_fa_shapes, []
 
         def spy(dl, xi, r, logjac, work):
             if xi[0] > 0.0:  # one of the two calls per block
-                seen.extend(row.tobytes() for row in dl)
+                seen.append([row.tobytes() for row in dl])
             return real(dl, xi, r, logjac, work)
 
         monkeypatch.setattr(fa_mod, "_log_fa_shapes", spy)
-        log_f_a_single(y)
+        call()
         monkeypatch.undo()
         return seen
 
@@ -243,16 +253,30 @@ class TestDistinctSpacingRows:
         y = self._batch()
         d = y[:, :-1] - y[:, -1:]
         distinct = {row.tobytes() for row in d if row.sum() > 0.0}
-        seen = self._quadrature_rows(monkeypatch, y)
+        seen = sum(self._quadrature_rows(monkeypatch, lambda: LogFaMemo()(y)), [])
         assert len(seen) == len(distinct) < y.shape[0] // 2
         assert set(seen) == distinct
+        # over a memo's life, in several calls: rows it has seen never reach
+        # the quadrature again, and a call of seen rows alone runs none
+        memo = LogFaMemo()
+        parts = np.array_split(y, 5)
+        seen = sum(self._quadrature_rows(monkeypatch, lambda: [memo(part) for part in parts]), [])
+        assert sorted(seen) == sorted(distinct)
+        assert self._quadrature_rows(monkeypatch, lambda: memo(y[::-1])) == []
 
     def test_signed_zero_spacings_are_not_merged(self, monkeypatch):
         y = np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 0.0]])
         d = y[:, :-1] - y[:, -1:]
         assert d[0].tobytes() != d[1].tobytes()
-        assert len(self._quadrature_rows(monkeypatch, y)) == 2
-        assert np.array_equal(log_f_a_single(y), [log_f_a_single(row) for row in y])
+        assert sum(map(len, self._quadrature_rows(monkeypatch, lambda: LogFaMemo()(y)))) == 2
+        assert np.array_equal(LogFaMemo()(y), [log_f_a_single(row) for row in y])
+
+    def test_bound_to_its_grid_and_nodes(self):
+        y = self._batch()[:50]
+        for grid, nodes in ((GRIDS["negative"], 40), (DEFAULT_XI_GRID, 60)):
+            memo = LogFaMemo(grid, nodes)
+            assert np.array_equal(memo(y), log_f_a_single(y, grid, nodes))
+            assert np.array_equal(memo(y[:3]), log_f_a_single(y[:3], grid, nodes))
 
 
 class TestLogSumExp:

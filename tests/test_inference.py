@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rtt.solver
 from rtt import inference
 from rtt.errors import (
     ConfigurationError,
@@ -14,6 +15,7 @@ from rtt.errors import (
     InvalidArgument,
     SampleTooSmall,
 )
+from rtt.fa import log_f_a_single
 from rtt.inference import (
     CI_GRID_POINTS,
     PValueResult,
@@ -59,7 +61,7 @@ def sequential_ci(w, level, source):
     span = inference.CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        accept = np.flatnonzero(~_nested(*_rows(s, grid), tables))
+        accept = np.flatnonzero(~_nested(*_rows(s, grid), tables, {}))
         if accept.size:
             break
 
@@ -68,7 +70,7 @@ def sequential_ci(w, level, source):
             mid = 0.5 * (a_rej + b_acc)
             if mid == a_rej or mid == b_acc:
                 break
-            if _nested(*_rows(s, [mid]), tables)[0]:
+            if _nested(*_rows(s, [mid]), tables, {})[0]:
                 a_rej = mid
             else:
                 b_acc = mid
@@ -242,6 +244,36 @@ class TestNonFiniteMean:
             summarize(np.random.default_rng(5).normal(size=50), 4, mu0)
 
 
+class TestVarianceOverflow:
+    """A sample whose variance overflows float64 is an error on every query,
+    not a t statistic of 0."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # at 2.59e153 the variance is finite but (n - 2k) s2 overflows
+    @pytest.mark.parametrize("scale", [2.59e153, 1e154, 1e300])
+    def test_every_query_raises(self, scale):
+        w = np.random.default_rng(0).standard_normal(60) * scale
+        desk = read_table(DESK)
+        tables = TableSet([desk, *map(read_table, SMOKE)])
+        queries = (
+            lambda: summarize(w, 4),
+            lambda: decide(w, 0.0, desk),
+            lambda: p_value(w, 0.0, tables),
+            lambda: confidence_interval(w, 0.95, desk),
+            lambda: confidence_interval(w, 0.80, tables),
+        )
+        for query in queries:
+            with pytest.raises(InvalidArgument, match="variance overflows"):
+                query()
+
+    def test_large_finite_variance_is_scale_invariant(self):
+        w = np.random.default_rng(0).standard_normal(60)
+        desk = read_table(DESK)
+        t = decide(w, 0.0, desk).t_statistic
+        assert t != 0.0
+        assert_allclose(decide(w * 1e150, 0.0, desk).t_statistic, t, rtol=1e-12)
+
+
 class TestPValue:
     def make_set(self):
         return TableSet([gate_only_table(a) for a in (0.01, 0.05, 0.2, 0.5)])
@@ -361,7 +393,7 @@ class TestConfidenceInterval:
         for alpha in tables.alphas:
             nested = [t for t in tables.tables if t.alpha >= alpha]
             want = [tables.nested_reject(w, float(m), alpha) for m in grid]
-            assert np.array_equal(_nested(*_rows(summarize(w, tables.k), grid), nested), want)
+            assert np.array_equal(_nested(*_rows(summarize(w, tables.k), grid), nested, {}), want)
             assert 0 < sum(want) < grid.size
             pvals = [p_value(w, float(m), tables) for m in grid]
             assert [not p.exceeds_max and p.value <= alpha for p in pvals] == want
@@ -439,6 +471,107 @@ class TestConfidenceInterval:
         w = rng.normal(size=50)
         with pytest.raises(ConfigurationError):
             confidence_interval(w, 0.9, TBL)
+
+
+def quadrature_blocks(monkeypatch):
+    """Spy on the f_a quadrature: the returned list gets, per quadrature
+    block (one positive-shape ``_log_fa_shapes`` call), the bytes of the
+    spacing rows it evaluates."""
+    import rtt.fa as fa_mod
+
+    real, blocks = fa_mod._log_fa_shapes, []
+
+    def spy(dl, xi, *args):
+        if xi[0] > 0.0:
+            blocks.append([row.tobytes() for row in dl])
+        return real(dl, xi, *args)
+
+    monkeypatch.setattr(fa_mod, "_log_fa_shapes", spy)
+    return blocks
+
+
+class _PassThrough:
+    """A memo that remembers nothing: the quadrature on every row it is given."""
+
+    def __init__(self, xi_grid, nodes):
+        self.xi_grid, self.nodes = xi_grid, nodes
+
+    def __call__(self, y):
+        return log_f_a_single(y, self.xi_grid, self.nodes)
+
+
+class TestOneFaPassPerQuery:
+    """A query hands its f_a memos to every decision it makes, and makes
+    new ones each time it runs."""
+
+    @staticmethod
+    def _sources():
+        desk = read_table(DESK)
+        return desk, TableSet([desk, *map(read_table, SMOKE)])
+
+    def test_p_value_scan_makes_one_quadrature_call(self, monkeypatch):
+        desk, tset = self._sources()
+        w = np.random.default_rng(3).standard_t(3, size=50)
+        mu0 = float(w.mean()) - 5.0 * float(w.std()) / math.sqrt(w.size)
+        # rejected at every level: the scan decides with all three tables
+        assert tset.raw_decisions(w, mu0) == [True, True, True]
+        blocks = quadrature_blocks(monkeypatch)
+        assert p_value(w, mu0, tset) == PValueResult(0.05)
+        assert len(blocks) == 1 and len(blocks[0]) == 2
+        assert tset.raw_decisions(w, mu0) == [True, True, True]
+        assert tset.nested_reject(w, mu0, 0.05)
+        assert len(blocks) == 3
+
+    def test_nothing_outlives_a_query(self, monkeypatch):
+        desk, tset = self._sources()
+        w = make_population("LogN").draw(np.random.default_rng(4), 50)
+        mu0 = float(w.mean()) - 5.0 * float(w.std()) / math.sqrt(w.size)
+        blocks = quadrature_blocks(monkeypatch)
+        queries = [
+            lambda: confidence_interval(w, 0.95, desk),
+            lambda: confidence_interval(w, 0.80, tset),
+            lambda: p_value(w, mu0, tset),
+            lambda: tset.raw_decisions(w, mu0),
+        ]
+        for query in queries:
+            counts = []
+            for _ in range(2):
+                before = len(blocks)
+                query()
+                counts.append(len(blocks) - before)
+            assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize(
+        "first, level, on_set", [(0, 0.95, False), (1, 0.80, True), (2, 0.95, True)],
+        ids=["desk_095", "set_080", "set_095"],
+    )
+    def test_endpoints_and_p_values_match_a_memo_free_reference(self, monkeypatch, first, level, on_set):
+        # 98 fresh samples in all, the seven populations at n = 50 and 200,
+        # a third of them per case; p-values at 0 and at both endpoints
+        desk, tset = self._sources()
+        source = tset if on_set else desk
+        rng = np.random.default_rng(23)
+        names = population_names()
+        samples = [
+            make_population(names[i % 7]).draw(rng, n) + rng.normal(0.0, 0.35)
+            for n in (50, 200) for i in range(49)
+        ][first::3]
+
+        def run():
+            out = []
+            for w in samples:
+                ends = confidence_interval(w, level, source)
+                pvals = [p_value(w, mu0, tset) for mu0 in (0.0, *ends)]
+                out.append(([e.hex() for e in ends], [(p.value, p.exceeds_max) for p in pvals]))
+            return out
+
+        got = run()
+        blocks = quadrature_blocks(monkeypatch)
+        monkeypatch.setattr(rtt.solver, "LogFaMemo", _PassThrough)
+        assert run() == got
+        # the reference evaluates rows the memo would have remembered
+        rows = sum(blocks, [])
+        assert len(rows) > len(set(rows))
 
 
 class TestMirrorSymmetry:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rtt.fa
 import rtt.inference
 import rtt.solver
 from rtt.inference import TableSet, confidence_interval
@@ -64,6 +65,28 @@ def test_interval_endpoints_are_pinned():
         for i, lo, hi in pinned:
             got = confidence_interval(W.master_sample(i), level, source)
             assert tuple(map(float.hex, got)) == (lo, hi)
+
+
+def test_interval_runs_the_quadrature_once_per_distinct_spacing_row(monkeypatch):
+    # the rows of one sample at many means share their spacing rows: one CI
+    # evaluates each distinct spacing row once, in a few quadrature blocks
+    # (positive-shape _log_fa_shapes calls), not one per decision call
+    W = _workloads()
+    w = W.master_sample(W.load_golden()["interval"][0][0])
+    desk = W.load_tables()["desk"]
+    real, blocks = rtt.fa._log_fa_shapes, []
+
+    def spy(dl, xi, *args):
+        if xi[0] > 0.0:
+            blocks.append([row.tobytes() for row in dl])
+        return real(dl, xi, *args)
+
+    monkeypatch.setattr(rtt.fa, "_log_fa_shapes", spy)
+    got = confidence_interval(w, 0.95, desk)
+    assert tuple(map(float.hex, got)) == INTERVAL_095_DESK[0][1:]
+    rows = sum(blocks, [])
+    assert 1 <= len(blocks) <= 3
+    assert len(rows) == len(set(rows))
 
 
 @pytest.fixture(scope="module")

@@ -342,9 +342,10 @@ class TestRuntimeAppliesCertifiedTest:
             ])
         clear = np.all(np.abs(log_denoms) > 1e-4, axis=0)
         ev = TestEvaluator(table)
+        fa = {}
         got = np.concatenate([
             ev._lr_conditions(
-                pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb]
+                pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb], fa
             )
             for la, lb in zip(np.array_split(ctx.la, 32), np.array_split(ctx.lb, 32))
         ])
@@ -531,7 +532,7 @@ class TestDistinctTailColumns:
         assert sum(rows for rows, _ in calls) == 2 * ev.condition1(yr, yl, y0).sum()
 
     def test_one_f_a_call_per_batch_for_both_tails(self, monkeypatch):
-        import rtt.solver as solver_mod
+        import rtt.fa as fa_mod
 
         calls = []
 
@@ -539,15 +540,25 @@ class TestDistinctTailColumns:
             calls.append(np.atleast_2d(y).copy())
             return log_f_a_single(y, xi_grid, nodes)
 
+        def spacings(y):
+            return {row.tobytes() for row in y[:, :-1] - y[:, -1:]}
+
         ev = TestEvaluator(read_table(DESK))
         yr, yl, y0 = _evaluator_rows(12)
+        # repeated rows: a batch evaluates each distinct spacing row once
+        yr, yl, y0 = (np.concatenate([a, a[::2]]) for a in (yr, yl, y0))
         passing = np.flatnonzero(ev.condition1(yr, yl, y0))
         want = ev.decide_batch(yr, yl, y0)
-        monkeypatch.setattr(solver_mod, "log_f_a_single", spy)
+        monkeypatch.setattr(fa_mod, "log_f_a_single", spy)
         assert np.array_equal(ev.decide_batch(yr, yl, y0), want)
         assert passing.size > _DECIDE_CHUNK and len(calls) == 1
-        # every gate-passing row's right tail, then its left tail
-        assert np.array_equal(calls[0], np.concatenate([yr[passing], yl[passing]]))
+        # the distinct spacing rows of every gate-passing row's two tails
+        both = np.concatenate([yr[passing], yl[passing]])
+        assert len(calls[0]) == len(spacings(calls[0])) < both.shape[0]
+        assert spacings(calls[0]) == spacings(both)
+        # each call makes its own memo: nothing carries over between calls
+        ev.decide_batch(yr, yl, y0)
+        assert len(calls) == 2 and np.array_equal(calls[1], calls[0])
 
     def test_signed_zeros_are_distinct_tails(self):
         plus, minus = (0.0, 0.05, 0.0), (-0.0, 0.05, 0.0)
