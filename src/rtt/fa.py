@@ -34,9 +34,9 @@ quadrature once per distinct spacing row in its life, copying the value
 back to each row; since a row's bits depend on that row alone, this is
 exact.  Rows that differ in any byte, -0.0 against 0.0 included, are never
 merged.  One runtime query (a decision batch, a p-value, a confidence
-interval) keeps one memo per shape grid, so the quadrature runs once per
-distinct spacing row per query; ``log_f_a_single`` itself evaluates every
-row it is given.
+interval) makes one memo, on its tables' one shape grid, and hands it to
+every decision it makes, so the quadrature runs once per distinct spacing
+row per query; ``log_f_a_single`` itself evaluates every row it is given.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def log_f_a_single(y, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
 
 
 class LogFaMemo:
-    """``log_f_a_single`` under one shape grid and node count, evaluated once
-    per distinct spacing row in the memo's life.
+    """``log_f_a_single`` under one shape grid at the runtime's
+    ``DEFAULT_NODES``, evaluated once per distinct spacing row in its life.
 
     A call keys its (m, k) rows by the float64 bytes of their spacings
     y - y_k, runs the quadrature in one call on the first row of each key
@@ -210,8 +210,8 @@ class LogFaMemo:
     The memo keeps its keys sorted, as ``np.unique`` returns them, with
     their values; it lives as long as the query that made it."""
 
-    def __init__(self, xi_grid=DEFAULT_XI_GRID, nodes: int = DEFAULT_NODES):
-        self.xi_grid, self.nodes = tuple(xi_grid), nodes
+    def __init__(self, xi_grid=DEFAULT_XI_GRID):
+        self.xi_grid = tuple(xi_grid)
         self._keys = self._values = None
 
     def __call__(self, y) -> np.ndarray:
@@ -228,7 +228,7 @@ class LogFaMemo:
         old = first < seen
         values[old] = self._values[first[old]]
         if not old.all():
-            values[~old] = log_f_a_single(y[first[~old] - seen], self.xi_grid, self.nodes)
+            values[~old] = log_f_a_single(y[first[~old] - seen], self.xi_grid, DEFAULT_NODES)
         self._keys, self._values = keys, values
         return values[inverse[seen:]]
 

@@ -363,16 +363,19 @@ def run_experiment(design: ExperimentDesign) -> Report:
 # plain-text design files
 
 
-# design-file key -> (ExperimentDesign field, conversion of the value text)
+# design-file key -> (ExperimentDesign field, conversion of the value text,
+# which raises ValueError or KeyError on text it does not accept)
 _DESIGN_KEYS = {
     "population": ("population", str),
+    "table": ("table", str),
     "adapter": ("adapter", str),
     "n": ("n", int),
     "reps": ("replications", int),
     "alpha": ("alpha", float),
     "methods": ("methods", lambda v: tuple(m.strip() for m in v.split(",") if m.strip())),
     "seed": ("seed", int),
-    "ci": ("compute_ci", lambda v: v.lower() in ("1", "true", "yes")),
+    "ci": ("compute_ci", lambda v: {"true": True, "yes": True, "1": True,
+                                    "false": False, "no": False, "0": False}[v.lower()]),
     "bootstrap_b": ("bootstrap_b", int),
     "calibration_reps": ("calibration_reps", int),
 }
@@ -382,10 +385,11 @@ def parse_design_config(text: str, table_loader=None) -> ExperimentDesign:
     """Parse the key=value design format (# starts a comment).
 
     Keys: population, adapter, n, reps, alpha, methods (comma-separated),
-    seed, table (path, optional), ci (true/false), bootstrap_b,
-    calibration_reps; any other key is an error.
+    seed, table (path, optional), ci (true/false/yes/no/1/0), bootstrap_b,
+    calibration_reps; any other key, or a value its key does not accept, is
+    an error naming the line.
     """
-    values: dict[str, str] = {}
+    given = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -393,17 +397,18 @@ def parse_design_config(text: str, table_loader=None) -> ExperimentDesign:
         key, sep, val = line.partition("=")
         if not sep:
             raise ConfigurationError(f"design line {lineno}: expected key = value")
-        key = key.strip().lower()
-        if key not in _DESIGN_KEYS and key != "table":
+        key, val = key.strip().lower(), val.strip()
+        if key not in _DESIGN_KEYS:
             raise ConfigurationError(f"design line {lineno}: unknown key '{key}'")
-        values[key] = val.strip()
-    if "population" not in values:
+        name, convert = _DESIGN_KEYS[key]
+        try:
+            given[name] = convert(val)
+        except (ValueError, KeyError):
+            raise ConfigurationError(f"design line {lineno}: bad value {val!r} for '{key}'") from None
+    if "population" not in given:
         raise ConfigurationError("design file must set 'population'")
     # the design's own defaults stand for every key the file leaves out
-    given = {}
-    if values.get("table"):
-        given["table"] = (table_loader or read_table)(values["table"])
-    for key, (name, convert) in _DESIGN_KEYS.items():
-        if key in values:
-            given[name] = convert(values[key])
+    path = given.pop("table", "")
+    if path:
+        given["table"] = (table_loader or read_table)(path)
     return ExperimentDesign(**given)

@@ -10,10 +10,10 @@ the steps of one-point-per-call bisection.
 
 f_a is location-invariant, so the rows of one sample at many means share
 their spacing rows.  Each query (``decide``, ``p_value``, ``confidence_interval``,
-``TableSet.raw_decisions`` and ``TableSet.nested_reject``) makes one dict of
-f_a memos (``fa``, keyed by shape grid) right after it standardizes and hands
-it to every decision it makes: the quadrature runs once per distinct spacing
-row per query, and nothing outlives the query.
+``TableSet.raw_decisions`` and ``TableSet.nested_reject``) makes one
+``LogFaMemo`` on its tables' one shape grid after it standardizes, and every
+decision it makes reads f_a from it (``TestEvaluator.decide_batch``'s
+``memo``): f_a runs once per distinct spacing row per query.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     InvalidArgument,
     SampleTooSmall,
 )
+from .fa import LogFaMemo
 from .model import YStar
 from .solver import TestEvaluator, gate_values
 from .table import TestTable, read_table
@@ -143,15 +144,15 @@ def _standardize(w, table: TestTable) -> tuple[SampleSummary, tuple[str, ...]]:
     return s, notes
 
 
-def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables, fa: dict) -> np.ndarray:
+def _nested(yr: np.ndarray, yl: np.ndarray, y0: np.ndarray, tables, memo: LogFaMemo) -> np.ndarray:
     """Rows rejected by every given table (the nested rule as a cumulative
-    AND); each table is evaluated only on the rows still rejected."""
+    AND) with the query's f_a ``memo``, each only on the rows still rejected."""
     reject = np.ones(y0.shape, dtype=bool)
     for t in tables:
         rows = np.flatnonzero(reject)
         if rows.size == 0:
             break
-        reject[rows] = _evaluator(t)._decide_batch(yr[rows], yl[rows], y0[rows], fa)
+        reject[rows] = _evaluator(t).decide_batch(yr[rows], yl[rows], y0[rows], memo)
     return reject
 
 
@@ -163,7 +164,8 @@ def decide(w, mu0: float, table: TestTable) -> Decision:
     # the one gate evaluation gives the Decision's fields and condition 1;
     # conditions 2 to 4 run only on a row that passes it, as in decide_batch
     t, cv = gate_values(yr, yl, y0, ev.cv_z, ev.cv_t)
-    reject = bool(abs(t[0]) > cv[0]) and bool(ev._lr_conditions(yr[None], yl[None], np.array([y0]), {})[0])
+    memo = LogFaMemo(table.xi_grid)
+    reject = bool(abs(t[0]) > cv[0]) and bool(ev._lr_conditions(yr[None], yl[None], np.array([y0]), memo)[0])
     return Decision(
         reject=reject, t_statistic=float(t[0]), critical_value=float(cv[0]),
         alpha=table.alpha, notes=notes,
@@ -177,18 +179,19 @@ class TableSet:
     that level or above rejects, which makes p-values coherent with levels
     and confidence intervals nested across levels by construction; all of
     them standardize with ``_rows``, so they agree at every interval end.
+    The tables share k, n0 and the shape grid, so one f_a memo serves them.
     """
 
     def __init__(self, tables):
         tables = list(tables)
         if not tables:
             raise ConfigurationError("table set is empty")
-        k0, n0 = tables[0].k, tables[0].n0
+        first = tables[0]
         for t in tables:
-            if t.k != k0 or t.n0 != n0:
+            if (t.k, t.n0, t.xi_grid) != (first.k, first.n0, first.xi_grid):
                 raise ConfigurationError(
-                    "tables in a set must share k and n0 "
-                    f"(found k={t.k}, n0={t.n0} vs k={k0}, n0={n0})"
+                    f"tables in a set must share k, n0 and the shape grid (found k={t.k}, n0={t.n0}, "
+                    f"xi_grid={t.xi_grid} vs k={first.k}, n0={first.n0}, xi_grid={first.xi_grid})"
                 )
         alphas = [t.alpha for t in tables]
         if len(set(alphas)) != len(alphas):
@@ -218,8 +221,8 @@ class TableSet:
         """Each table's own decision, without the nested rule; the tables
         share k and n0, so the sample is standardized (and warned about) once."""
         rows = _rows(_standardize(w, self.tables[0])[0], mu0)
-        fa = {}
-        return [bool(_evaluator(t)._decide_batch(*rows, fa)[0]) for t in self.tables]
+        memo = LogFaMemo(self.tables[0].xi_grid)
+        return [bool(_evaluator(t).decide_batch(*rows, memo)[0]) for t in self.tables]
 
     def nested_reject(self, w, mu0: float, alpha: float) -> bool:
         """Reject at alpha only if all tests at levels >= alpha reject."""
@@ -227,7 +230,7 @@ class TableSet:
         if not tables:
             raise ConfigurationError(f"no table at level >= {alpha}")
         yr, yl, y0 = _rows(_standardize(w, tables[0])[0], mu0)
-        return bool(_nested(yr[None], yl[None], np.array([y0]), tables, {})[0])
+        return bool(_nested(yr[None], yl[None], np.array([y0]), tables, LogFaMemo(tables[0].xi_grid))[0])
 
 
 @dataclass(frozen=True)
@@ -249,10 +252,10 @@ def p_value(w, mu0: float, tables: TableSet) -> PValueResult:
     if not isinstance(tables, TableSet):
         tables = TableSet(tables)
     rows = _rows(_standardize(w, tables.tables[0])[0], mu0)
-    fa = {}
+    memo = LogFaMemo(tables.tables[0].xi_grid)
     smallest = None
     for t in reversed(tables.tables):
-        if not _evaluator(t)._decide_batch(*rows, fa)[0]:
+        if not _evaluator(t).decide_batch(*rows, memo)[0]:
             break
         smallest = t.alpha
     if smallest is None:
@@ -280,7 +283,7 @@ def _bisection_tree(a_rej: float, b_acc: float, depth: int) -> list[float]:
     return mids
 
 
-def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[TestTable], fa: dict) -> list[float]:
+def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[TestTable], memo) -> list[float]:
     """Bisect each (rejected, accepted) bracket to its accepted end.
 
     Each round decides the next ``_BISECT_DEPTH`` levels of every live
@@ -295,7 +298,7 @@ def _refine(s: SampleSummary, brackets: list[tuple[float, float]], tables: list[
     while live and used < _BISECT_ITER:
         depth = min(_BISECT_DEPTH, _BISECT_ITER - used)
         trees = [_bisection_tree(*brackets[i], depth) for i in live]
-        rejected = _nested(*_rows(s, np.ravel(trees)), tables, fa).reshape(len(live), -1)
+        rejected = _nested(*_rows(s, np.ravel(trees)), tables, memo).reshape(len(live), -1)
         used += depth
         unsettled = []
         for i, mids, rej in zip(live, trees, rejected):
@@ -331,10 +334,10 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
     if span <= 0.0:
         raise DegenerateSample("sample has zero range")
     s = _standardize(w, at)[0]
-    fa = {}
+    memo = LogFaMemo(at.xi_grid)
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        reject = _nested(*_rows(s, grid), tables, fa)
+        reject = _nested(*_rows(s, grid), tables, memo)
         accept = np.flatnonzero(~reject)
         if accept.size:
             break
@@ -349,6 +352,6 @@ def confidence_interval(w, level: float, table: TestTable | TableSet) -> tuple[f
         brackets[0] = (grid[lo_idx - 1], grid[lo_idx])
     if hi_idx < grid.size - 1:
         brackets[1] = (grid[hi_idx + 1], grid[hi_idx])
-    for e, end in zip(brackets, _refine(s, list(brackets.values()), tables, fa)):
+    for e, end in zip(brackets, _refine(s, list(brackets.values()), tables, memo)):
         ends[e] = end
     return float(ends[0]), float(ends[1])

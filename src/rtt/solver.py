@@ -561,7 +561,6 @@ def proposal_region(
 class SolverTuning:
     """Iteration schedule of the multiplicative weight updates."""
 
-    margin_se: float = 0.5
     max_iter: int = 200
     min_iter: int = 3
     prescale_iter: int = 24
@@ -576,66 +575,56 @@ _GATHER_CACHE_BUDGET = 4e8  # bytes of float32 weight gathers a sweep may keep
 _DECIDE_CHUNK = 64  # gate-passing rows per decide_batch block; bounds its memory
 
 
-class _SingleDenom:
-    """Shifted denominator of a single-tail condition at every entry.
+class _Mixture:
+    """The one pool-side mixture: a likelihood-ratio condition's shifted
+    denominator at ``size`` pool entries, the sum over ``atoms`` in order of
+    lam_i exp(min(term(atom_i), _EXP_CAP)) for lam_i > 0, with the terms of
+    conditions 2 and 3 (``single``) or of condition 4 (``pair``)."""
 
-    Condition 2 takes the heavy block from the first index of each entry
-    (``la``) and the thin block from the second (``lb``); condition 3 is the
-    same formula with the blocks exchanged (``swapped``).  ``chi`` is the
-    switching index of every pool draw.
-    """
+    def __init__(self, atoms: list, term: Callable[[object], np.ndarray], size: int):
+        self.atoms, self.term, self.size = atoms, term, size
 
-    def __init__(self, ctx: _PoolCtx, atoms: list[TailParams], chi: np.ndarray, swapped: bool = False):
+    def denom(self, lam: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size)
+        for lam_i, atom in zip(lam, self.atoms):
+            if lam_i <= 0.0:
+                continue
+            np.add(out, lam_i * np.exp(np.minimum(self.term(atom), _EXP_CAP)), out=out)
+        return out
+
+    @classmethod
+    def single(cls, ctx: _PoolCtx, atoms: list[TailParams], chi: np.ndarray, swapped: bool = False) -> "_Mixture":
+        """Condition 2 at every entry: the heavy block from the first index
+        of each entry (``la``) and the thin block from the second (``lb``);
+        condition 3 is the same formula with the blocks exchanged
+        (``swapped``).  ``chi`` is the switching index of every pool draw."""
         heavy, thin = (ctx.lb, ctx.la) if swapped else (ctx.la, ctx.lb)
-        self.ctx = ctx
-        self.atoms = atoms
-        self.heavy = heavy
-        self.shift = ctx.logfa[heavy] + _BOOST * chi[thin]
-        self.base = ctx.y0e[heavy] - ctx.tnum[thin]
-        self.var = 1.0 + ctx.S2[thin]
-        self.log_var = np.log(self.var)
+        shift = ctx.logfa[heavy] + _BOOST * chi[thin]
+        base = ctx.y0e[heavy] - ctx.tnum[thin]
+        var = 1.0 + ctx.S2[thin]
+        log_var = np.log(var)
 
-    def denom(self, lam: np.ndarray) -> np.ndarray:
-        heavy = self.heavy
-        out = np.zeros(heavy.size)
-        for lam_i, t in zip(lam, self.atoms):
-            if lam_i <= 0.0:
-                continue
-            lf, ms = self.ctx.tail_arrays(t)
-            term = single_tail_log_term(
-                lf[heavy].astype(float), ms[heavy], self.base, self.var, self.log_var, self.shift
+        def term(t: TailParams) -> np.ndarray:
+            lf, ms = ctx.tail_arrays(t)
+            return single_tail_log_term(lf[heavy].astype(float), ms[heavy], base, var, log_var, shift)
+
+        return cls(atoms, term, heavy.size)
+
+    @classmethod
+    def pair(cls, ctx: _PoolCtx, atoms: list[tuple[TailParams, TailParams]], sub: np.ndarray) -> "_Mixture":
+        """Condition 4 at the entries ``sub``; atoms are ordered (left,
+        right) tail pairs."""
+        la, lb = ctx.la[sub], ctx.lb[sub]
+        shift = ctx.logfa[la] + ctx.logfa[lb]
+        y0e_la, y0e_lb = ctx.y0e[la], ctx.y0e[lb]
+
+        def term(atom: tuple[TailParams, TailParams]) -> np.ndarray:
+            (lf_l, ms_l), (lf_r, ms_r) = map(ctx.tail_arrays, atom)
+            return joint_log_term(
+                lf_r[la].astype(float), lf_l[lb].astype(float), ms_r[la], ms_l[lb], y0e_la, y0e_lb, shift
             )
-            np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
-        return out
 
-
-class _PairDenom:
-    """Shifted denominator of the two-tail condition at the entries ``sub``;
-    atoms are ordered (left, right) tail pairs."""
-
-    def __init__(self, ctx: _PoolCtx, atoms: list[tuple[TailParams, TailParams]], sub: np.ndarray):
-        self.ctx = ctx
-        self.atoms = atoms
-        self.la = ctx.la[sub]
-        self.lb = ctx.lb[sub]
-        self.shift = ctx.logfa[self.la] + ctx.logfa[self.lb]
-        self.y0e_la = ctx.y0e[self.la]
-        self.y0e_lb = ctx.y0e[self.lb]
-
-    def denom(self, lam: np.ndarray) -> np.ndarray:
-        ctx, la, lb = self.ctx, self.la, self.lb
-        out = np.zeros(la.size)
-        for lam_i, (left, right) in zip(lam, self.atoms):
-            if lam_i <= 0.0:
-                continue
-            lf_r, ms_r = ctx.tail_arrays(right)
-            lf_l, ms_l = ctx.tail_arrays(left)
-            term = joint_log_term(
-                lf_r[la].astype(float), lf_l[lb].astype(float), ms_r[la], ms_l[lb],
-                self.y0e_la, self.y0e_lb, self.shift,
-            )
-            np.add(out, lam_i * np.exp(np.minimum(term, _EXP_CAP)), out=out)
-        return out
+        return cls(atoms, term, la.size)
 
 
 class _RpSweep:
@@ -793,7 +782,7 @@ def solve_single_tail(
                 atom_of_check.append(i)
     if not checks:
         raise ConfigurationError("no admissible (boundary, heavy) pairs to check")
-    denom = _SingleDenom(ctx, candidates, switching_index(ctx.y_tail, switch))
+    denom = _Mixture.single(ctx, candidates, switching_index(ctx.y_tail, switch))
     sweep = _RpSweep(ctx, checks)
     lam = _iterate_lfd(
         2, denom.denom, sweep, np.asarray(atom_of_check), ctx.alpha, tuning, len(candidates), started
@@ -808,8 +797,8 @@ def _single_condition_bits(ctx: _PoolCtx, rows: tuple[SingleAtomRow, ...], switc
     params = [TailParams(*r[1:]) for r in rows]
     lam = np.array([r[0] for r in rows])
     chi = switching_index(ctx.y_tail, switch)
-    bits2 = _SingleDenom(ctx, params, chi).denom(lam) < 1.0
-    bits3 = _SingleDenom(ctx, params, chi, swapped=True).denom(lam) < 1.0
+    bits2 = _Mixture.single(ctx, params, chi).denom(lam) < 1.0
+    bits3 = _Mixture.single(ctx, params, chi, swapped=True).denom(lam) < 1.0
     return bits2 & bits3
 
 
@@ -855,7 +844,7 @@ def solve_two_tail(
             half.append(1.0 if same else 0.5)
     of_pair, half = np.asarray(of_pair), np.asarray(half)
     checks = [ThetaFull(left=a, right=b) for a, b in pairs]
-    pair_denom = _PairDenom(ctx, ordered, sub)
+    pair_denom = _Mixture.pair(ctx, ordered, sub)
     sweep = _RpSweep(ctx, checks, sub=sub)
     lam = _iterate_lfd(
         3, lambda w: pair_denom.denom(half * w[of_pair]),
@@ -892,9 +881,9 @@ class TestEvaluator:
     Conditions 2 to 4 read log f_a of both tails of every gate-passing row
     from one ``LogFaMemo`` call, which runs the quadrature once per distinct
     spacing row the memo has not seen; a row's f_a bits depend on that row
-    alone, so the blocks then read their slices of it.  ``decide_batch``
-    makes a fresh memo per call; a runtime query hands its memos to all of
-    its decisions, so f_a runs once per distinct spacing row per query."""
+    alone, so the blocks then read their slices of it.  ``decide_batch`` is
+    the one decision entry; a runtime query hands its one memo to every call
+    it makes, so f_a runs once per distinct spacing row per query."""
 
     __test__ = False  # not a pytest class
 
@@ -929,12 +918,13 @@ class TestEvaluator:
         t, cv = gate_values(y_right, y_left, y0, self.cv_z, self.cv_t)
         return np.abs(t) > cv
 
-    def decide_batch(self, y_right, y_left, y0) -> np.ndarray:
-        return self._decide_batch(y_right, y_left, y0, {})
-
-    def _decide_batch(self, y_right, y_left, y0, fa: dict) -> np.ndarray:
-        """``decide_batch`` reading log f_a from ``fa``, the caller's f_a
-        memos keyed by shape grid, as ``_lr_conditions`` does."""
+    def decide_batch(self, y_right, y_left, y0, memo: LogFaMemo | None = None) -> np.ndarray:
+        """The test's decision on each row; ``memo`` is the query's f_a memo
+        on the table's shape grid, or None for a memo of the call's own."""
+        if memo is None:
+            memo = LogFaMemo(self.xi_grid)
+        elif memo.xi_grid != self.xi_grid:
+            raise ConfigurationError(f"f_a memo on shape grid {memo.xi_grid} for a table on {self.xi_grid}")
         yr = np.atleast_2d(np.asarray(y_right, dtype=float))
         yl = np.atleast_2d(np.asarray(y_left, dtype=float))
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -942,16 +932,13 @@ class TestEvaluator:
         c1 = np.atleast_1d(self.condition1(yr, yl, y0))
         passing = np.flatnonzero(c1)
         if passing.size:
-            out[passing] = self._lr_conditions(yr[passing], yl[passing], y0[passing], fa)
+            out[passing] = self._lr_conditions(yr[passing], yl[passing], y0[passing], memo)
         return out
 
-    def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray, fa: dict) -> np.ndarray:
-        """Conditions 2 to 4 on gate-passing rows: one f_a memo call for both
-        tails of every row, then blocks of ``_DECIDE_CHUNK`` rows, which
-        bound the memory of the tail grids.  The memo is ``fa``'s for the
-        table's shape grid, added to ``fa`` if it has none, so calls that
-        share one ``fa`` share its memos."""
-        memo = fa.setdefault(self.xi_grid, LogFaMemo(self.xi_grid, DEFAULT_NODES))
+    def _lr_conditions(self, yrs: np.ndarray, yls: np.ndarray, y0s: np.ndarray, memo: LogFaMemo) -> np.ndarray:
+        """Conditions 2 to 4 on gate-passing rows: one call of the f_a
+        ``memo`` for both tails of every row, then blocks of
+        ``_DECIDE_CHUNK`` rows, which bound the memory of the tail grids."""
         logfa_r, logfa_l = np.split(memo(np.concatenate([yrs, yls])), 2)
         out = np.empty(y0s.shape, dtype=bool)
         for lo in range(0, y0s.size, _DECIDE_CHUNK):
@@ -996,7 +983,7 @@ def _table_entry_bits(ctx: _PoolCtx, sub: np.ndarray, rows: tuple[FullAtomRow, .
     """Composite-test bits at every entry: condition 4 with the full atom
     ``rows`` at the entries ``sub`` where conditions 1 to 3 hold."""
     pairs = [(TailParams(*r[1:4]), TailParams(*r[4:])) for r in rows]
-    acc = _PairDenom(ctx, pairs, sub).denom(np.array([r[0] for r in rows]))
+    acc = _Mixture.pair(ctx, pairs, sub).denom(np.array([r[0] for r in rows]))
     bits = np.zeros(ctx.la.size, dtype=np.float32)
     bits[sub[acc < 1.0]] = 1.0
     return bits
@@ -1043,9 +1030,9 @@ class BuildConfig:
 
     The table keeps k, n0 and alpha, and its metadata seed, n_draws,
     recombine, fa_nodes, the n_xi x n_kappa x n_eta grid, step_c (the
-    constant ``_STEP_C``), margin_se and max_iter.  Stage 1 searches
-    ``DEFAULT_LADDER``; the shape grid is ``DEFAULT_XI_GRID``.  The other
-    fields are not recorded."""
+    constant ``_STEP_C``), margin_se (the literal 0.5, which no code reads)
+    and max_iter.  Stage 1 searches ``DEFAULT_LADDER``; the shape grid is
+    ``DEFAULT_XI_GRID``.  The other fields are not recorded."""
 
     k: int = 4
     n0: int = 50
@@ -1064,6 +1051,10 @@ class BuildConfig:
     spot_boundary_resolution: int = 3
     spot_interior: int = 200
     spot_slack: float = 0.005
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidArgument(f"level alpha must lie in (0, 1), got {self.alpha!r}")
 
 
 def smoke_build_config(**overrides) -> BuildConfig:
@@ -1142,7 +1133,7 @@ def build_table(config: BuildConfig) -> TestTable:
         ("n_draws", str(config.n_draws)),
         ("recombine", str(config.recombine)),
         ("step_c", repr(_STEP_C)),
-        ("margin_se", repr(config.tuning.margin_se)),
+        ("margin_se", "0.5"),
         ("max_iter", str(config.tuning.max_iter)),
         ("fa_nodes", str(config.fa_nodes)),
         ("grid", f"{config.n_xi}x{config.n_kappa}x{config.n_eta}"),

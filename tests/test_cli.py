@@ -235,6 +235,16 @@ class TestSimulateCommand:
         assert rows[0]["method"] == "t_test"
         assert 0.0 <= float(rows[0]["reject_rate"]) <= 1.0
 
+    @pytest.mark.parametrize("key, value", [("n", "50.0"), ("ci", "flase")])
+    def test_bad_value_is_an_error_line(self, tmp_path, capsys, key, value):
+        design = tmp_path / "design.txt"
+        design.write_text(f"population = LogN\nreps = 30\n{key} = {value}\n")
+        out_csv = tmp_path / "report.csv"
+        rc = main(["simulate", "--design", str(design), "--out", str(out_csv)])
+        assert rc == 1
+        assert f"error: design line 3: bad value '{value}' for '{key}'" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestBuildCommand:
     def test_smoke_profile(self, tmp_path, capsys):
@@ -266,6 +276,17 @@ class TestBuildCommand:
         ])
         assert rc == 0
         assert seen == [replace(smoke_build_config(), n_draws=7, recombine=3)]
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_level_outside_unit_interval_rejected(self, tmp_path, monkeypatch, capsys, alpha):
+        def fake_build(config):
+            raise AssertionError("build_table reached with a level outside (0, 1)")
+
+        monkeypatch.setattr(rtt.cli, "build_table", fake_build)
+        rc = main(["build", "--out", str(tmp_path / "t.rtt"), "--profile", "smoke", "--alpha", alpha])
+        assert rc == 1
+        assert "error: level alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "t.rtt").exists()
 
     @pytest.mark.parametrize("flag", ["--n-draws", "--recombine"])
     @pytest.mark.parametrize("value", ["0", "-5"])

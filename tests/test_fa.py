@@ -271,12 +271,11 @@ class TestDistinctSpacingRows:
         assert sum(map(len, self._quadrature_rows(monkeypatch, lambda: LogFaMemo()(y)))) == 2
         assert np.array_equal(LogFaMemo()(y), [log_f_a_single(row) for row in y])
 
-    def test_bound_to_its_grid_and_nodes(self):
+    def test_bound_to_its_grid(self):
         y = self._batch()[:50]
-        for grid, nodes in ((GRIDS["negative"], 40), (DEFAULT_XI_GRID, 60)):
-            memo = LogFaMemo(grid, nodes)
-            assert np.array_equal(memo(y), log_f_a_single(y, grid, nodes))
-            assert np.array_equal(memo(y[:3]), log_f_a_single(y[:3], grid, nodes))
+        memo = LogFaMemo(GRIDS["negative"])
+        assert np.array_equal(memo(y), log_f_a_single(y, GRIDS["negative"]))
+        assert np.array_equal(memo(y[:3]), log_f_a_single(y[:3], GRIDS["negative"]))
 
 
 class TestLogSumExp:

@@ -278,3 +278,23 @@ class TestDesignConfig:
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_design_config("population = LogN\nbogus line")
+
+    @pytest.mark.parametrize("text, key", [
+        ("n = 50.0", "n"),
+        ("reps = ten", "reps"),
+        ("alpha = 5%", "alpha"),
+        ("seed = 1e3", "seed"),
+        ("ci = flase", "ci"),
+        ("ci = on", "ci"),
+        ("bootstrap_b = 999.5", "bootstrap_b"),
+        ("calibration_reps = ", "calibration_reps"),
+    ])
+    def test_bad_value_names_line_and_key(self, text, key):
+        with pytest.raises(ConfigurationError, match=f"line 3: bad value .* for '{key}'"):
+            parse_design_config(f"population = LogN\n# a comment\n{text}")
+
+    @pytest.mark.parametrize("text, want", [
+        ("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False),
+    ])
+    def test_ci_flags(self, text, want):
+        assert parse_design_config(f"population = LogN\nci = {text}").compute_ci is want

@@ -1,13 +1,13 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import rtt.solver
 from rtt import inference
 from rtt.errors import (
     ConfigurationError,
@@ -15,7 +15,7 @@ from rtt.errors import (
     InvalidArgument,
     SampleTooSmall,
 )
-from rtt.fa import log_f_a_single
+from rtt.fa import DEFAULT_NODES, LogFaMemo, log_f_a_single
 from rtt.inference import (
     CI_GRID_POINTS,
     PValueResult,
@@ -61,7 +61,7 @@ def sequential_ci(w, level, source):
     span = inference.CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
     for widen in (1.0, 4.0):
         grid = np.linspace(center - widen * span, center + widen * span, CI_GRID_POINTS)
-        accept = np.flatnonzero(~_nested(*_rows(s, grid), tables, {}))
+        accept = np.flatnonzero(~_nested(*_rows(s, grid), tables, LogFaMemo(at.xi_grid)))
         if accept.size:
             break
 
@@ -70,7 +70,7 @@ def sequential_ci(w, level, source):
             mid = 0.5 * (a_rej + b_acc)
             if mid == a_rej or mid == b_acc:
                 break
-            if _nested(*_rows(s, [mid]), tables, {})[0]:
+            if _nested(*_rows(s, [mid]), tables, LogFaMemo(at.xi_grid))[0]:
                 a_rej = mid
             else:
                 b_acc = mid
@@ -360,6 +360,10 @@ class TestPValue:
             TableSet([gate_only_table(0.05, k=4), gate_only_table(0.1, k=6)])
         with pytest.raises(ConfigurationError):
             TableSet([gate_only_table(0.05), gate_only_table(0.05)])
+        # one f_a memo serves a query over the set, so the tables share a grid
+        other = replace(gate_only_table(0.1), xi_grid=tuple(np.linspace(-0.5, 0.5, 9)))
+        with pytest.raises(ConfigurationError, match="shape grid"):
+            TableSet([gate_only_table(0.05), other])
 
 
 class TestConfidenceInterval:
@@ -393,7 +397,8 @@ class TestConfidenceInterval:
         for alpha in tables.alphas:
             nested = [t for t in tables.tables if t.alpha >= alpha]
             want = [tables.nested_reject(w, float(m), alpha) for m in grid]
-            assert np.array_equal(_nested(*_rows(summarize(w, tables.k), grid), nested, {}), want)
+            memo = LogFaMemo(tables.tables[0].xi_grid)
+            assert np.array_equal(_nested(*_rows(summarize(w, tables.k), grid), nested, memo), want)
             assert 0 < sum(want) < grid.size
             pvals = [p_value(w, float(m), tables) for m in grid]
             assert [not p.exceeds_max and p.value <= alpha for p in pvals] == want
@@ -493,11 +498,11 @@ def quadrature_blocks(monkeypatch):
 class _PassThrough:
     """A memo that remembers nothing: the quadrature on every row it is given."""
 
-    def __init__(self, xi_grid, nodes):
-        self.xi_grid, self.nodes = xi_grid, nodes
+    def __init__(self, xi_grid):
+        self.xi_grid = tuple(xi_grid)
 
     def __call__(self, y):
-        return log_f_a_single(y, self.xi_grid, self.nodes)
+        return log_f_a_single(y, self.xi_grid, DEFAULT_NODES)
 
 
 class TestOneFaPassPerQuery:
@@ -541,6 +546,29 @@ class TestOneFaPassPerQuery:
                 counts.append(len(blocks) - before)
             assert counts[0] == counts[1] > 0
 
+    def test_shared_memo_decides_as_fresh_ones(self):
+        # a CI's grid rows, decided by every table of the set in parts that
+        # share one memo, equal one memo-free call per table bit for bit
+        desk, tset = self._sources()
+        w = make_population("P(0.4)").draw(np.random.default_rng(8), 50)
+        span = inference.CI_SPAN_RANGES * float(np.ptp(w)) / math.sqrt(w.size)
+        grid = np.linspace(w.mean() - span, w.mean() + span, CI_GRID_POINTS)
+        yr, yl, y0 = _rows(summarize(w, tset.k), grid)
+        memo = LogFaMemo(desk.xi_grid)
+        for t in tset.tables:
+            ev = inference._evaluator(t)
+            fresh = ev.decide_batch(yr, yl, y0)
+            shared = [ev.decide_batch(yr[p], yl[p], y0[p], memo) for p in np.array_split(np.arange(grid.size), 5)]
+            assert 0 < fresh.sum() < grid.size
+            assert np.array_equal(np.concatenate(shared), fresh)
+
+    def test_memo_on_another_grid_is_refused(self):
+        desk, _ = self._sources()
+        w = np.random.default_rng(3).standard_t(3, size=50)
+        rows = _rows(summarize(w, desk.k), 0.0)
+        with pytest.raises(ConfigurationError, match="shape grid"):
+            inference._evaluator(desk).decide_batch(*rows, LogFaMemo(TBL.xi_grid))
+
     @pytest.mark.parametrize(
         "first, level, on_set", [(0, 0.95, False), (1, 0.80, True), (2, 0.95, True)],
         ids=["desk_095", "set_080", "set_095"],
@@ -567,7 +595,8 @@ class TestOneFaPassPerQuery:
 
         got = run()
         blocks = quadrature_blocks(monkeypatch)
-        monkeypatch.setattr(rtt.solver, "LogFaMemo", _PassThrough)
+        # the queries make their memos in rtt.inference
+        monkeypatch.setattr(inference, "LogFaMemo", _PassThrough)
         assert run() == got
         # the reference evaluates rows the memo would have remembered
         rows = sum(blocks, [])

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rtt.errors import CalibrationError, InvalidArgument
-from rtt.fa import DEFAULT_NODES, DEFAULT_XI_GRID, log_f_a_single
+from rtt.fa import DEFAULT_NODES, DEFAULT_XI_GRID, LogFaMemo, log_f_a_single
 from rtt.gev import TailParams, _row_sum, log_tail_density, log_tail_density_multi
 from rtt.model import (
     ThetaFull,
@@ -31,11 +31,10 @@ from rtt.solver import (
     _DECIDE_CHUNK,
     _denom_rows,
     _iterate_lfd,
-    _PairDenom,
+    _Mixture,
     _PoolCtx,
     _rp_of_entries,
     _RpSweep,
-    _SingleDenom,
     _single_condition_bits,
     _table_entry_bits,
     SolverTuning,
@@ -336,16 +335,16 @@ class TestRuntimeAppliesCertifiedTest:
         chi = switching_index(pool.y_tail, SwitchConstants(table.rho1, table.rho_r))
         with np.errstate(divide="ignore"):
             log_denoms = np.log([
-                _SingleDenom(ctx, singles, chi).denom(s_lam),
-                _SingleDenom(ctx, singles, chi, swapped=True).denom(s_lam),
-                _PairDenom(ctx, pairs, np.arange(ctx.la.size)).denom(f_lam),
+                _Mixture.single(ctx, singles, chi).denom(s_lam),
+                _Mixture.single(ctx, singles, chi, swapped=True).denom(s_lam),
+                _Mixture.pair(ctx, pairs, np.arange(ctx.la.size)).denom(f_lam),
             ])
         clear = np.all(np.abs(log_denoms) > 1e-4, axis=0)
         ev = TestEvaluator(table)
-        fa = {}
+        memo = LogFaMemo(table.xi_grid)
         got = np.concatenate([
             ev._lr_conditions(
-                pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb], fa
+                pool.y_tail[la], pool.y_tail[lb], pool.y0e[la] - pool.y0e[lb], memo
             )
             for la, lb in zip(np.array_split(ctx.la, 32), np.array_split(ctx.lb, 32))
         ])
@@ -590,7 +589,7 @@ class TestNeymanPearsonOracle:
         ctx.la = np.tile(np.arange(p.n, dtype=np.int32), p.K)
         ctx.lb = (ctx.la + np.repeat(np.arange(1, p.K + 1, dtype=np.int32), p.n)) % p.n
         pairs = [(th, th)]
-        denom = _PairDenom(ctx, pairs, np.arange(ctx.la.size))
+        denom = _Mixture.pair(ctx, pairs, np.arange(ctx.la.size))
         sweep = _RpSweep(ctx, [theta])
         lam = _iterate_lfd(
             3, denom.denom, sweep, np.zeros(1, dtype=int), alpha,
@@ -718,7 +717,7 @@ class TestSolveSingleTail:
 
         params = [TailParams(*row[1:]) for row in atoms]
         lam = np.array([row[0] for row in atoms])
-        denom = _SingleDenom(ctx, params, switching_index(ctx.y_tail, sw))
+        denom = _Mixture.single(ctx, params, switching_index(ctx.y_tail, sw))
         bits = (denom.denom(lam) < 1.0).astype(np.float32)
         checks = [
             ThetaFull(left=l, right=h)
