@@ -14,10 +14,14 @@ slow spell of the machine falls on both sides.  Only alternating pairs give
 usable comparisons on a machine whose CPU changes speed for seconds at a
 time.  Each side also makes one traced run (``--trace 1``) for the
 per-layer figures, and computes the checksums of the benchmark build, the
-smoke seed-3 build and the smoke seed-1 build at alpha 0.20; ``--desk`` adds
-one ``perfbench/desk_repro.py`` rebuild per side, with its time, stage split
-and peak memory; ``checksums.identical`` says whether both sides built the
-same tables.  Each side also decides a fixed corpus with each of
+smoke seed-3 build and the smoke seed-1 build at alpha 0.20.  For each of
+those builds it also keeps, under ``solver_log``, the count and a sha256 of
+its ``rtt.solver`` log lines with every ``elapsed_s=<float>`` removed;
+``solver_log.identical`` says whether both sides logged the same stage-1
+estimates, LFD iterations and stage-4 line.  ``--desk`` adds one
+``perfbench/desk_repro.py`` rebuild per side, with its time, stage split and
+peak memory; ``checksums.identical`` says whether both sides built the same
+tables.  Each side also decides a fixed corpus with each of
 ``perfbench/data``'s tables and records a digest of the decisions: 60,060
 samples of n = 50, 8,580 from each of the seven populations, each shifted by
 a N(0, 0.35^2) mean, drawn from seed 77 and standardized with k = 4.  It
@@ -34,8 +38,11 @@ its positive-shape calls, one per quadrature block (at most 195 rows on
 the default 21-shape grid).  The page-fault figure is each side's
 ``ru_minflt`` (minor page faults) over each of three ``decide_batch`` calls
 on the ``batch`` workload's 5,000-row block (seed 1) with the desk table,
-made in one process; each side runs two such processes, the sides
-alternating.  The record also keeps each side's line count of every
+made in one process; each side runs six such processes, the sides
+alternating, since the count after the first call differs from process to
+process whatever the code.  Next to the raw lists, ``steady_median`` keeps
+each side's median of the steady calls, the second and third of every
+process.  The record also keeps each side's line count of every
 ``src/rtt/*.py`` and their total, so a change's size is in its BENCH file.
 
 The record keeps, per workload and side, the median, quartiles and
@@ -66,18 +73,28 @@ METRICS = ("p90_ms", "peak_rss_mb", "setup_s")
 RUN_TIMEOUT_S = 1800
 
 CHECKSUM_SNIPPET = """
-import json, sys
+import hashlib, json, logging, re, sys
 sys.path[:0] = ["src", "perfbench"]
 import bench_env
 bench_env.prepare()
 import workloads as W
 from rtt.solver import build_table, smoke_build_config
 from rtt.table import table_checksum
-print(json.dumps({
-    "build": table_checksum(build_table(W.build_config())),
-    "smoke_seed3": table_checksum(build_table(smoke_build_config(seed=3))),
-    "smoke_seed1_a20": table_checksum(build_table(smoke_build_config(seed=1, alpha=0.2))),
-}))
+lines = []
+class Lines(logging.Handler):
+    def emit(self, record):
+        lines.append(re.sub(r" ?elapsed_s=[0-9.]+", "", record.getMessage()))
+log = logging.getLogger("rtt.solver")
+log.addHandler(Lines())
+log.setLevel(logging.INFO)
+log.propagate = False
+sums, logs = {}, {}
+for key, config in (("build", W.build_config()), ("smoke_seed3", smoke_build_config(seed=3)),
+                    ("smoke_seed1_a20", smoke_build_config(seed=1, alpha=0.2))):
+    lines.clear()
+    sums[key] = table_checksum(build_table(config))
+    logs[key] = {"lines": len(lines), "sha256": hashlib.sha256("\\n".join(lines).encode()).hexdigest()}
+print(json.dumps({"checksums": sums, "solver_log": logs}))
 """
 
 DECISIONS_SNIPPET = """
@@ -165,7 +182,7 @@ for _ in range(3):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """
-FAULT_PROCESSES = 2  # per side, alternating which side runs first
+FAULT_PROCESSES = 6  # per side, alternating which side runs first
 QUADRATURE_OP = ("per confidence interval of the interval corpus, in order: f_a quadrature blocks "
                  "(positive-shape rtt.fa._log_fa_shapes calls) and the spacing rows they evaluate")
 
@@ -323,10 +340,11 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
         record["env"] = env
         record["workloads"][name] = entry
         write(args.out, record)
-    record["checksums"] = {
-        side: json.loads(run([sys.executable, "-c", CHECKSUM_SNIPPET], trees[side]).splitlines()[-1])
-        for side in SIDES
-    }
+    got = {side: json.loads(run([sys.executable, "-c", CHECKSUM_SNIPPET], trees[side]).splitlines()[-1])
+           for side in SIDES}
+    record["checksums"] = {side: got[side]["checksums"] for side in SIDES}
+    record["solver_log"] = {side: got[side]["solver_log"] for side in SIDES}
+    record["solver_log"]["identical"] = record["solver_log"]["base"] == record["solver_log"]["head"]
     record["decisions"] = {
         side: json.loads(run([sys.executable, "-c", DECISIONS_SNIPPET], trees[side]).splitlines()[-1])
         for side in SIDES
@@ -341,7 +359,9 @@ def record_all(args, revs: dict, ids: dict, scratch: Path) -> None:
     for i in range(FAULT_PROCESSES):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             faults[side].append(json.loads(run([sys.executable, "-c", FAULTS_SNIPPET], trees[side]).splitlines()[-1]))
-    record["page_faults"] = {"op": "ru_minflt per 5,000-row desk decide_batch, three calls per process", **faults}
+    steady = {side: statistics.median(c for calls in faults[side] for c in calls[1:]) for side in SIDES}
+    record["page_faults"] = {"op": "ru_minflt per 5,000-row desk decide_batch, three calls per process",
+                             **faults, "steady_median": steady}
     if args.desk:
         record["desk"] = {side: desk(trees[side], scratch, side) for side in SIDES}
     if "desk" in record:

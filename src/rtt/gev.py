@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, polygamma, psi
@@ -107,8 +108,11 @@ def order_stat_moment(j: int, xi: float, order: int) -> float:
     return (g2 - 2.0 * g1 + 1.0) / xi ** 2
 
 
+@lru_cache(maxsize=1024)
 def order_stat_moment_vectors(n: int, xi: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments of X_1..X_n as arrays (vectorized)."""
+    """First and second moments of X_1..X_n as arrays (vectorized), read-only
+    and kept for the 1,024 most recently used (n, xi): the space's
+    membership checks ask for the same few shapes many times."""
     if n < 1:
         raise InvalidArgument("need at least one order statistic")
     if 2.0 * xi >= 1.0:
@@ -117,11 +121,14 @@ def order_stat_moment_vectors(n: int, xi: float) -> tuple[np.ndarray, np.ndarray
     if abs(xi) < XI_ZERO_TOL:
         m1 = -psi(idx)
         m2 = polygamma(1, idx) + psi(idx) ** 2
-        return m1, m2
-    lg = gammaln(idx)
-    g1 = np.exp(gammaln(idx - xi) - lg)
-    g2 = np.exp(gammaln(idx - 2.0 * xi) - lg)
-    return (g1 - 1.0) / xi, (g2 - 2.0 * g1 + 1.0) / xi ** 2
+    else:
+        lg = gammaln(idx)
+        g1 = np.exp(gammaln(idx - xi) - lg)
+        g2 = np.exp(gammaln(idx - 2.0 * xi) - lg)
+        m1, m2 = (g1 - 1.0) / xi, (g2 - 2.0 * g1 + 1.0) / xi ** 2
+    for a in (m1, m2):
+        a.flags.writeable = False
+    return m1, m2
 
 
 def log_tail_density(y, theta: TailParams):

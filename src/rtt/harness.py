@@ -197,6 +197,10 @@ class ExperimentDesign:
             raise InvalidArgument(f"unknown adapter {self.adapter!r}; known: {ADAPTERS}")
         if self.adapter == "two_sample" and self.n % 2:
             raise InvalidArgument("two-sample designs need an even total sample size")
+        if not self.methods:
+            raise InvalidArgument(f"a design needs at least one method; known: {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise InvalidArgument(f"each method may be named once, got {self.methods}")
         for m in self.methods:
             if m not in METHODS:
                 raise InvalidArgument(f"unknown method {m!r}; known: {METHODS}")

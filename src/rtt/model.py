@@ -132,10 +132,21 @@ def sample_ystar(theta: ThetaFull, mu: float, k: int, rng: np.random.Generator) 
 
 def sample_ystar_block(theta: ThetaFull, mu: float, k: int, rng: np.random.Generator, size: int):
     """Vectorized Y* draws: returns (y_right (n,k), y_left (n,k), y0 (n,))."""
+    return ystar_of_standard(theta, mu, *sample_standard_block(theta, k, rng, size))
+
+
+def sample_standard_block(theta: ThetaFull, k: int, rng: np.random.Generator, size: int):
+    """The standardized draws (X_R (n,k), X_L (n,k), Z (n,)) of Y*, consumed
+    from rng in that order; they depend on theta only through the shapes."""
+    xr = sample_joint_tail(k, theta.right.xi, rng, size=size)
+    xl = sample_joint_tail(k, theta.left.xi, rng, size=size)
+    return xr, xl, rng.standard_normal(size)
+
+
+def ystar_of_standard(theta: ThetaFull, mu: float, xr, xl, z):
+    """Y* at (theta, mu) of standardized draws: the affine maps of the
+    blocks, and Z shifted by mu and the blocks' m* terms."""
     tr, tl = theta.right, theta.left
-    xr = sample_joint_tail(k, tr.xi, rng, size=size)
-    xl = sample_joint_tail(k, tl.xi, rng, size=size)
-    z = rng.standard_normal(size)
     y0 = z + mu - tr.eta * _m_star_raw(xr[:, -1], tr.kappa, tr.xi) + tl.eta * _m_star_raw(
         xl[:, -1], tl.kappa, tl.xi
     )

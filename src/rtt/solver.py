@@ -20,14 +20,23 @@ stages over increasingly large parts of the nuisance space:
 4. spot-check the final test over a wide grid plus random interior points.
 
 Stage 1 estimates the gate's null rejection probabilities by plain Monte
-Carlo; stages 2 to 4 and ``estimate_rp`` estimate them with one importance
-sampling estimator, ``_rp_of_entries``, over a pool of "extended" single
-tails, each draw recombined with the K draws after it.  ``build_table``
-builds the pool's one context, ``_PoolCtx``, right after the pool and hands
-it to stages 2 to 4; it evaluates conditions 2 and 3 once, after stage 2,
-and hands the entries where they hold to stages 3 and 4.  Stages 2 and 3
-return their atoms as the table's ``S`` and ``F`` rows, the form the pool's
-conditions, the spot check and ``TestEvaluator`` all read.
+Carlo, the estimator of ``simulate_rp``, drawing each boundary pair's
+standardized draws once for the whole ladder; stages 2 to 4 and
+``estimate_rp`` estimate them with one importance sampling estimator,
+``_rp_of_entries``, over a pool of "extended" single tails, each draw
+recombined with the K draws after it.  ``build_table`` builds the pool's one
+context, ``_PoolCtx``, right after the pool and hands it to stages 2 to 4;
+it evaluates conditions 2 and 3 once, after stage 2, and hands the entries
+where they hold to stages 3 and 4.  Stages 2 and 3 return their atoms as
+the table's ``S`` and ``F`` rows, the form the pool's conditions, the spot
+check and ``TestEvaluator`` all read.
+
+A build computes each value once per stage, and only where it is read: the
+context's log f_a at the draws its entries read, each mixture atom's
+column at its first use, kept until the stage ends, and each prescale
+step's verdict up to the first check above the level.  None of this
+changes a bit of the table or of the log.
+
 Progress is logged one line per iteration on the ``rtt.solver`` logger as
 
     lfd stage=<n> iter=<i> max_rp=<float> se=<float> worst=<theta> elapsed_s=<float>
@@ -45,6 +54,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -69,8 +79,9 @@ from .model import (
     extended_log_term,
     joint_log_term,
     sample_extended_tail_block,
-    sample_ystar_block,
+    sample_standard_block,
     single_tail_log_term,
+    ystar_of_standard,
 )
 from .space import (
     XI_GRID_MAX,
@@ -274,12 +285,15 @@ def build_proposal(
 class _PoolCtx:
     """The pool's context at level ``alpha``, which a build makes once and
     hands to stages 2 to 4.  It holds the pool's arrays and per-draw
-    statistics, computed here and never changed: row sums, log f_a of every
-    draw over ``DEFAULT_XI_GRID`` with ``fa_nodes`` quadrature nodes, and the
-    entries, the recombined pairs (i, i + j mod n), j = 1, ..., K in that
-    order, on which the gate holds, as index arrays ``la`` and ``lb``.  Only
-    the cache of the atoms' (log f_T, M*) grows; the switching index depends
-    on the table's constants, so its readers compute it."""
+    statistics, computed here and never changed: row sums and the entries,
+    the recombined pairs (i, i + j mod n), j = 1, ..., K in that order, on
+    which the gate holds, as index arrays ``la`` and ``lb``.  ``logfa``, log
+    f_a over ``DEFAULT_XI_GRID`` with ``fa_nodes`` quadrature nodes, is
+    computed on its first read at the draws the entries read, ``la`` and
+    ``lb`` as they are then, and is NaN at every other draw; a row's f_a
+    bits do not depend on its batch.  Only the cache of the atoms' (log f_T,
+    M*) grows; the switching index depends on the table's constants, so its
+    readers compute it."""
 
     def __init__(self, pool: IsPool, alpha: float, fa_nodes: int = DEFAULT_NODES):
         self.alpha = alpha
@@ -299,8 +313,17 @@ class _PoolCtx:
             lbs.append(jdx[keep].astype(np.int32))
         self.la = np.concatenate(las)
         self.lb = np.concatenate(lbs)
-        self.logfa = log_f_a_single(self.y_tail, DEFAULT_XI_GRID, fa_nodes)
+        self.fa_nodes = fa_nodes
         self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def logfa(self) -> np.ndarray:
+        read = np.zeros(self.n, dtype=bool)
+        read[self.la] = read[self.lb] = True
+        rows = np.flatnonzero(read)
+        out = np.full(self.n, np.nan)
+        out[rows] = log_f_a_single(self.y_tail[rows], DEFAULT_XI_GRID, self.fa_nodes)
+        return out
 
     # -- per-parameter caches -------------------------------------------------
     def _parts32(self, t: TailParams) -> tuple[np.ndarray, np.ndarray]:
@@ -319,9 +342,8 @@ class _PoolCtx:
 
     def weight(self, t: TailParams) -> np.ndarray:
         """Float64 importance weight of every draw under t, from t's kept
-        tail arrays if an atom has them; neither is kept: the sweeps of one
-        stage keep their weights, so a stage's weights are freed when it
-        ends."""
+        tail arrays if an atom has them; neither is kept: what a stage's
+        sweep keeps of its weights is freed when the stage ends."""
         got = self._tails.get(t.astuple())
         with np.errstate(over="ignore"):
             lf, ms = self._parts32(t) if got is None else got
@@ -376,15 +398,27 @@ def estimate_rp(test, theta: ThetaFull, pool: IsPool) -> RpEstimate:
 
 def simulate_rp(test, theta: ThetaFull, mu: float, k: int, n: int, seed: int = 0) -> RpEstimate:
     """Plain Monte Carlo rejection rate (the direct oracle for estimate_rp)."""
+    return _rp_of_draws(test, theta, mu, _standard_draws(theta, k, n, seed))
+
+
+def _standard_draws(theta: ThetaFull, k: int, n: int, seed: int):
+    """``simulate_rp``'s n standardized draws from ``seed``, in blocks of at
+    most 100,000, drawn as they are read."""
     rng = np.random.default_rng(seed)
     chunk = 100_000
+    for lo in range(0, n, chunk):
+        yield sample_standard_block(theta, k, rng, min(chunk, n - lo))
+
+
+def _rp_of_draws(test, theta: ThetaFull, mu: float, blocks) -> RpEstimate:
+    """The plain Monte Carlo estimator: the share of Y* draws at (theta, mu)
+    of the standardized ``blocks`` on which ``test`` rejects, with its
+    binomial se."""
     done = 0
     hits = 0.0
-    while done < n:
-        m = min(chunk, n - done)
-        yr, yl, y0 = sample_ystar_block(theta, mu, k, rng, m)
-        hits += float(np.asarray(test(yr, yl, y0), dtype=float).sum())
-        done += m
+    for xr, xl, z in blocks:
+        hits += float(np.asarray(test(*ystar_of_standard(theta, mu, xr, xl, z)), dtype=float).sum())
+        done += z.size
     p = hits / done
     return RpEstimate(rp=p, se=math.sqrt(max(p * (1.0 - p), 1e-12) / done))
 
@@ -429,14 +463,16 @@ def _boundary_sweep(cfg: SpaceConfig, switch: SwitchConstants, cells):
                 yield xi, kappa, eta
 
 
-def _direct_gate_rp(theta: ThetaFull, alpha: float, k: int, n: int, seed: int) -> RpEstimate:
-    cv_z, cv_t = critical_values(alpha)
-
-    def gate(yr, yl, y0):
-        t, cv = gate_values(yr, yl, y0, cv_z, cv_t)
-        return np.abs(t) > cv
-
-    return simulate_rp(gate, theta, 0.0, k, n, seed=seed)
+def _direct_gate_rp(gate, theta: ThetaFull, k: int, n: int, seed: int, draws: dict) -> RpEstimate:
+    """``simulate_rp(gate, theta, 0.0, k, n, seed)`` on the standardized
+    draws kept in ``draws`` by (seed, xi_R, xi_L, k, n), drawn on first use:
+    the draws depend on theta only through its shapes, so the ladder's
+    points share them."""
+    key = (seed, theta.right.xi, theta.left.xi, k, n)
+    blocks = draws.get(key)
+    if blocks is None:
+        blocks = draws[key] = list(_standard_draws(theta, k, n, seed))
+    return _rp_of_draws(gate, theta, 0.0, blocks)
 
 
 def calibrate_switching_direct(
@@ -450,10 +486,20 @@ def calibrate_switching_direct(
 
     The gate statistic is cheap to simulate, so the boundary sweep needs no
     importance-sampling pool, which lets the pool built afterwards cover the
-    switching-dependent candidate grids exactly.
+    switching-dependent candidate grids exactly.  Pair i keeps its seed at
+    every ladder point, so each pair's standardized draws are made once for
+    the whole ladder and mapped to each point's scales; the critical values
+    are computed once per call.
     """
     started = time.perf_counter()
     cells = _boundary_draws(cfg, seed)
+    cv_z, cv_t = critical_values(alpha)
+
+    def gate(yr, yl, y0):
+        t, cv = gate_values(yr, yl, y0, cv_z, cv_t)
+        return np.abs(t) > cv
+
+    draws: dict[tuple, list] = {}
     diagnostics = []
     for rho1, rho_r in ladder:
         switch = SwitchConstants(rho1, rho_r)
@@ -476,7 +522,7 @@ def calibrate_switching_direct(
         worst_pair = pairs[0]
         ok = True
         for i, pair in enumerate(pairs):
-            est = _direct_gate_rp(pair, alpha, cfg.k, _RP_DRAWS, seed=seed + 17 * i + 1)
+            est = _direct_gate_rp(gate, pair, cfg.k, _RP_DRAWS, seed + 17 * i + 1, draws)
             if est.rp > worst.rp:
                 worst, worst_pair = est, pair
             if est.rp > alpha + 2.0 * est.se:
@@ -579,17 +625,24 @@ class _Mixture:
     """The one pool-side mixture: a likelihood-ratio condition's shifted
     denominator at ``size`` pool entries, the sum over ``atoms`` in order of
     lam_i exp(min(term(atom_i), _EXP_CAP)) for lam_i > 0, with the terms of
-    conditions 2 and 3 (``single``) or of condition 4 (``pair``)."""
+    conditions 2 and 3 (``single``) or of condition 4 (``pair``).  Each
+    atom's float64 column exp(min(term, _EXP_CAP)) is kept from its first
+    use for the mixture's life, one stage, so an iteration's denominator is
+    one scaled add per atom."""
 
     def __init__(self, atoms: list, term: Callable[[object], np.ndarray], size: int):
         self.atoms, self.term, self.size = atoms, term, size
+        self._cols: list[np.ndarray | None] = [None] * len(atoms)
 
     def denom(self, lam: np.ndarray) -> np.ndarray:
         out = np.zeros(self.size)
-        for lam_i, atom in zip(lam, self.atoms):
+        for i, (lam_i, atom) in enumerate(zip(lam, self.atoms)):
             if lam_i <= 0.0:
                 continue
-            np.add(out, lam_i * np.exp(np.minimum(self.term(atom), _EXP_CAP)), out=out)
+            col = self._cols[i]
+            if col is None:
+                col = self._cols[i] = np.exp(np.minimum(self.term(atom), _EXP_CAP))
+            np.add(out, lam_i * col, out=out)
         return out
 
     @classmethod
@@ -628,7 +681,13 @@ class _Mixture:
 
 
 class _RpSweep:
-    """RP of a bit vector at many check points over the ctx entry index."""
+    """RP of a bit vector at many check points over the ctx entry index.
+
+    The sweep keeps each check tail's float32 weights gathered at the
+    entries' right (``la``) and left (``lb``) draws while they fit in
+    ``_GATHER_CACHE_BUDGET``; it then keeps no float64 weight, and ``rp_se``
+    recomputes the two it reads from the context, with the same bits.
+    Otherwise it keeps the float64 weights and gathers them at every read."""
 
     def __init__(self, ctx: _PoolCtx, checks: list[ThetaFull], sub=slice(None)):
         self.ctx = ctx
@@ -642,9 +701,13 @@ class _RpSweep:
         self._cache_gathers = budget <= _GATHER_CACHE_BUDGET
         self._gathers: dict[tuple, np.ndarray] = {}
         self._weights: dict[tuple, np.ndarray] = {}
+        self._last_above = 0  # the check that last exceeded a level
 
     def _weight(self, t: TailParams) -> np.ndarray:
-        """Float64 weight of t at every pool draw, kept for the sweep."""
+        """Float64 weight of t at every pool draw, kept for the sweep unless
+        its gathers are kept."""
+        if self._cache_gathers:
+            return self.ctx.weight(t)
         key = t.astuple()
         w = self._weights.get(key)
         if w is None:
@@ -662,14 +725,26 @@ class _RpSweep:
                 self._gathers[key] = got
         return got
 
+    def _rp_at(self, bits: np.ndarray, i: int) -> float:
+        th = self.checks[i]
+        return float((bits * self._at(th.right, True)) @ self._at(th.left, False)) * self.scale
+
     def rp(self, bits: np.ndarray) -> np.ndarray:
         """RP at every check in float32 products, the fast path for many
         checks: the iteration's atom updates are decided on these values."""
-        out = np.empty(len(self.checks))
-        for i, th in enumerate(self.checks):
-            w = bits * self._at(th.right, True)
-            out[i] = float(w @ self._at(th.left, False)) * self.scale
-        return out
+        return np.array([self._rp_at(bits, i) for i in range(len(self.checks))], dtype=float)
+
+    def exceeds(self, bits: np.ndarray, alpha: float) -> bool:
+        """Whether ``rp(bits).max(initial=0.0) > alpha``, from the checks'
+        values one at a time, stopping at the first above ``alpha``; the
+        check that last exceeded is tried first.  (Where some check's RP is
+        NaN, that max is NaN and says no; this says yes if another check
+        exceeds.)"""
+        for i in sorted(range(len(self.checks)), key=lambda i: i != self._last_above):
+            if self._rp_at(bits, i) > alpha:
+                self._last_above = i
+                return True
+        return False
 
     def rp_se(self, bits: np.ndarray, i: int) -> RpEstimate:
         """RP and se at check i by the IS estimator, on float64 weights."""
@@ -696,7 +771,8 @@ def _iterate_lfd(
     global factor e^s, bisected over s in [-30, 30] for ``prescale_iter``
     steps so that the worst check starts near the level; by linearity every
     step compares d0 * e^s with one, where d0 is the denominator of the
-    uniform start, computed once.  Returns the converged weights; raises
+    uniform start, computed once, and asks the sweep only whether some check
+    exceeds alpha (``exceeds``).  Returns the converged weights; raises
     NonconvergenceError at the iteration cap.  Log lines give the seconds
     since ``started``, the stage's ``time.perf_counter()`` at its start.
     """
@@ -709,8 +785,7 @@ def _iterate_lfd(
     lo, hi = -30.0, 30.0
     for _ in range(tuning.prescale_iter):
         mid = 0.5 * (lo + hi)
-        worst = sweep.rp(bits_of(d0 * math.exp(mid))).max(initial=0.0)
-        if worst > alpha:
+        if sweep.exceeds(bits_of(d0 * math.exp(mid)), alpha):
             lo = mid
         else:
             hi = mid

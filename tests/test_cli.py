@@ -245,6 +245,19 @@ class TestSimulateCommand:
         assert f"error: design line 3: bad value '{value}' for '{key}'" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("methods, message", [
+        ("", "a design needs at least one method"),
+        ("t_test, t_test", "each method may be named once"),
+    ])
+    def test_empty_or_repeated_methods_are_an_error_line(self, tmp_path, capsys, methods, message):
+        design = tmp_path / "design.txt"
+        design.write_text(f"population = LogN\nreps = 3\nci = no\nmethods = {methods}\n")
+        out_csv = tmp_path / "report.csv"
+        rc = main(["simulate", "--design", str(design), "--out", str(out_csv)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestBuildCommand:
     def test_smoke_profile(self, tmp_path, capsys):

@@ -111,6 +111,16 @@ class TestMoments:
                 assert_allclose(m1[j - 1], order_stat_moment(j, xi, 1), rtol=1e-12)
                 assert_allclose(m2[j - 1], order_stat_moment(j, xi, 2), rtol=1e-12)
 
+    @pytest.mark.parametrize("xi", [-0.5, 0.0, 1e-8, 0.3, 0.45])
+    def test_vector_memo_is_read_only_and_exact(self, xi):
+        fresh = order_stat_moment_vectors.__wrapped__(50, xi)
+        got = order_stat_moment_vectors(50, xi)
+        assert got is order_stat_moment_vectors(50, xi)
+        for a, b in zip(got, fresh):
+            assert np.array_equal(a, b) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     @pytest.mark.parametrize("xi", [-0.5, 0.0, 0.25, 0.4])
     def test_monte_carlo_agreement(self, xi):
         rng = np.random.default_rng(123)

@@ -147,6 +147,15 @@ class TestDesigns:
         with pytest.raises(InvalidArgument):
             ExperimentDesign(population="LogN", methods=("bogus",))
 
+    @pytest.mark.parametrize("methods, match", [
+        ((), "at least one method"),
+        (("t_test", "t_test"), "named once"),
+        (("sym_boot", "t_test", "sym_boot"), "named once"),
+    ])
+    def test_methods_nonempty_and_distinct(self, methods, match):
+        with pytest.raises(InvalidArgument, match=match):
+            ExperimentDesign(population="LogN", methods=methods, compute_ci=False)
+
 
 class TestRunExperiment:
     def test_deterministic_given_seed(self):
@@ -270,6 +279,9 @@ class TestDesignConfig:
         pytest.param("n = 9\nmethods = new\ntable = desk", r"n >= 10 .* k=4", id="n_below_2k_plus_2"),
         pytest.param("ci = true\ncalibration_reps = 0", "calibration", id="ci_without_calibration"),
         pytest.param("methods = asym_boot\nbootstrap_b = 98", "bootstrap_b=98", id="too_few_resamples"),
+        pytest.param("methods = ", "at least one method", id="no_method"),
+        pytest.param("methods = , ,", "at least one method", id="only_commas"),
+        pytest.param("methods = t_test, sym_boot, t_test", "named once", id="repeated_method"),
     ])
     def test_values_checked(self, text, match):
         with pytest.raises(InvalidArgument, match=match):

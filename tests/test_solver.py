@@ -29,11 +29,13 @@ from rtt.solver import (
     TestEvaluator,
     _BOOST,
     _DECIDE_CHUNK,
+    _EXP_CAP,
     _denom_rows,
     _iterate_lfd,
     _Mixture,
     _PoolCtx,
     _rp_of_entries,
+    _RP_DRAWS,
     _RpSweep,
     _single_condition_bits,
     _table_entry_bits,
@@ -197,12 +199,42 @@ class TestSwitching:
         import rtt.solver as solver_mod
         from rtt.solver import RpEstimate
 
-        def all_high(theta, alpha, k, n, seed):
+        def all_high(gate, theta, k, n, seed, draws):
             return RpEstimate(rp=0.5, se=1e-6)
 
         monkeypatch.setattr(solver_mod, "_direct_gate_rp", all_high)
         with pytest.raises(CalibrationError, match="no ladder point"):
             calibrate_switching_direct(CFG, alpha=0.05, seed=2, ladder=((0.05, 0.05),))
+
+    def test_ladder_estimates_equal_simulate_rp(self, monkeypatch):
+        # each pair's draws are made once for the ladder; every estimate
+        # equals simulate_rp of the gate at the pair's seed, bit for bit
+        import rtt.solver as solver_mod
+
+        real, calls = solver_mod._direct_gate_rp, []
+
+        def spy(gate, theta, k, n, seed, draws):
+            est = real(gate, theta, k, n, seed, draws)
+            calls.append((theta, k, n, seed, est, len(draws)))
+            return est
+
+        monkeypatch.setattr(solver_mod, "_direct_gate_rp", spy)
+        # both points fail at this level, so the whole ladder is estimated
+        with pytest.raises(CalibrationError):
+            calibrate_switching_direct(CFG, alpha=0.05, seed=1, ladder=DEFAULT_LADDER[:2])
+        cv_z, cv_t = critical_values(0.05)
+
+        def gate(yr, yl, y0):
+            t, cv = gate_values(yr, yl, y0, cv_z, cv_t)
+            return np.abs(t) > cv
+
+        assert calls and all(n == _RP_DRAWS and k == CFG.k for _, k, n, _, _, _ in calls)
+        for theta, k, n, seed, est, _ in calls:
+            assert est == simulate_rp(gate, theta, 0.0, k, n, seed)
+        # the second ladder point drew nothing new for the pairs it shares
+        kept = calls[-1][5]
+        assert kept < len(calls)
+        assert kept == len({(seed, th.right.xi, th.left.xi) for th, _, _, seed, _, _ in calls})
 
 
 def _stub_table(alpha=0.05, lam=1e-250, k=4):
@@ -619,6 +651,9 @@ class _BlockSweep:
     def rp(self, bits):
         return np.array([bits[b].mean() for b in self.blocks])
 
+    def exceeds(self, bits, alpha):
+        return any(bits[b].mean() > alpha for b in self.blocks)
+
     def rp_se(self, bits, i):
         p = float(bits[self.blocks[i]].mean())
         return RpEstimate(rp=p, se=math.sqrt(p * (1.0 - p) / self.blocks[i].size))
@@ -653,6 +688,105 @@ class TestPrescale:
             else:
                 hi = mid
         assert np.array_equal(calls[1], uniform * math.exp(hi))
+
+
+def _fresh_denom(mix, lam):
+    """A mixture's denominator recomputed from its terms, with no kept
+    column: the sum ``_Mixture.denom`` makes, in the same order."""
+    out = np.zeros(mix.size)
+    for lam_i, atom in zip(lam, mix.atoms):
+        if lam_i > 0.0:
+            np.add(out, lam_i * np.exp(np.minimum(mix.term(atom), _EXP_CAP)), out=out)
+    return out
+
+
+class TestStageMemos:
+    """Each value a build computes once per stage is the value it computed
+    on every use before, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["single", "single_swapped", "pair"])
+    def test_kept_columns_equal_fresh_denominators(self, pool, ctx24, kind):
+        ctx = ctx24
+        tails = _components(pool)
+        if kind == "pair":
+            atoms = [(a, b) for a in tails[:3] for b in tails[:3]]
+            mix = _Mixture.pair(ctx, atoms, np.arange(0, ctx.la.size, 3))
+        else:
+            atoms = tails
+            chi = switching_index(ctx.y_tail, SwitchConstants(0.1, 0.1))
+            mix = _Mixture.single(ctx, atoms, chi, swapped=kind == "single_swapped")
+        calls = []
+        term = mix.term
+        mix.term = lambda atom: calls.append(atom) or term(atom)
+        lam = np.geomspace(0.5, 2.0, len(atoms))
+        with_zero = lam.copy()
+        with_zero[1] = 0.0
+        for weights in (with_zero, lam, 3.0 * lam, with_zero):
+            got = mix.denom(weights)
+            assert np.array_equal(got, _fresh_denom(mix, weights))
+        # one kernel pass per atom for the mixture's life, besides the
+        # references' own
+        assert len(calls) == len(atoms) + 4 * len(atoms) - 2
+
+    def test_pool_logfa_only_at_entry_draws(self, pool, monkeypatch):
+        import rtt.solver as solver_mod
+
+        rows = []
+
+        def spy(y, xi_grid, nodes):
+            rows.append(len(y))
+            return log_f_a_single(y, xi_grid, nodes)
+
+        monkeypatch.setattr(solver_mod, "log_f_a_single", spy)
+        ctx = _PoolCtx(pool, 0.05, 24)
+        assert rows == []  # nothing until the first read
+        read = np.union1d(ctx.la, ctx.lb)
+        got = ctx.logfa
+        assert rows == [read.size] and ctx.logfa is got
+        want = log_f_a_single(pool.y_tail, DEFAULT_XI_GRID, 24)
+        assert np.array_equal(got[read], want[read])
+        unread = np.setdiff1d(np.arange(pool.n), read)
+        assert unread.size and np.isnan(got[unread]).all()
+
+    def test_prescale_exceeds_equals_max_of_rp(self, pool, ctx24):
+        ctx, alpha = ctx24, ctx24.alpha
+        tails = _components(pool)
+        checks = [ThetaFull(left=a, right=b) for a in tails for b in tails]
+        chi = switching_index(ctx.y_tail, SwitchConstants(0.1, 0.1))
+        d0 = _Mixture.single(ctx, tails, chi).denom(np.full(len(tails), 1.0 / len(tails)))
+        sweep = _RpSweep(ctx, checks)
+        seen, lo, hi = set(), -30.0, 30.0
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            bits = (d0 * math.exp(mid) < 1.0).astype(np.float32)
+            above = sweep.exceeds(bits, alpha)
+            assert above == (sweep.rp(bits).max(initial=0.0) > alpha)
+            seen.add(above)
+            lo, hi = (mid, hi) if above else (lo, mid)
+        assert seen == {True, False}
+
+    def test_rp_se_without_kept_weights(self, pool, ctx24, monkeypatch):
+        import rtt.solver as solver_mod
+
+        ctx = ctx24
+        tails = _components(pool)
+        checks = [ThetaFull(left=a, right=b) for a in tails for b in tails[::2]]
+        bits = (np.random.default_rng(3).random(ctx.la.size) < 0.3).astype(np.float32)
+        gathered = _RpSweep(ctx, checks)
+        got_rp = gathered.rp(bits)
+        got = [gathered.rp_se(bits, i) for i in range(len(checks))]
+        assert gathered._cache_gathers and not gathered._weights
+        monkeypatch.setattr(solver_mod, "_GATHER_CACHE_BUDGET", 0)
+        kept = _RpSweep(ctx, checks)
+        assert not kept._cache_gathers
+        assert np.array_equal(got_rp, kept.rp(bits))
+        assert got == [kept.rp_se(bits, i) for i in range(len(checks))]
+        assert kept._weights
+
+
+def _components(pool, m=4):
+    """m of the pool's proposal components, spread over its list."""
+    return list(pool.components[:: len(pool.components) // m][:m])
 
 
 class TestSpotCheck:
